@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The pre-merge gate: ruff -> replint -> mypy -> tier-1 tests -> load smoke.
+# The pre-merge gate: ruff -> replint -> mypy -> tier-1 tests -> benchmark
+# oracle tests -> smokes.
 #
 #   ./scripts/check.sh
 #
@@ -12,32 +13,36 @@
 #   3. mypy    — the strict typing gate over src/repro (pyproject.toml)
 #   4. pytest  — the tier-1 suite from ROADMAP.md, with runtime
 #                shape/dtype contracts enabled
-#   5. tsan stress — the sanitizer self-tests plus the threaded serving
+#   5. perfbench tests — the repository benchmark's own unit tests
+#                (perfbench/tests): the float64 Eqn-8 oracle that checks
+#                every benchmark answer, and the measurement helpers.
+#                They import no program code, so they need no PYTHONPATH
+#   6. tsan stress — the sanitizer self-tests plus the threaded serving
 #                suite under REPRO_TSAN=1: every guarded-by declaration
 #                is checked at runtime while real threads hammer the
 #                engine (src/repro/sanitizer.py; DESIGN.md §7)
-#   6. load smoke — the serving load harness with injected 50 ms backend
+#   7. load smoke — the serving load harness with injected 50 ms backend
 #                stalls on a tiny synthetic preset, asserting p99 within
 #                the deadline budget and zero silent drops
 #                (benchmarks/load_harness.py; see docs/OPERATIONS.md)
-#   7. training smoke — the training throughput harness on the tiny
+#   8. training smoke — the training throughput harness on the tiny
 #                preset, asserting the batched train() path is at least
 #                3x the single-step reference path
 #                (benchmarks/train_harness.py; see DESIGN.md §9)
-#   8. sharded smoke — the capacity mode of the load harness on the
+#   9. sharded smoke — the capacity mode of the load harness on the
 #                tiny preset with 2 shards over a freshly frozen memmap
 #                store, asserting every sampled sharded top-n is
 #                bit-identical to a single-index reference engine
 #                (writes BENCH_sharded_smoke.json; the committed
 #                BENCH_sharded_load.json is the offline beijing-xl run
 #                and is never overwritten here)
-#   9. obs smoke — the observability layer end to end: a fault-injected
+#  10. obs smoke — the observability layer end to end: a fault-injected
 #                traced recommend_many over 2 shards, every span tree
 #                audited for completeness, then the metrics exporter
 #                scraped over HTTP and validated with the strict
 #                Prometheus text-format parser (scripts/obs_smoke.py;
 #                writes BENCH_obs_smoke.json + FLIGHT_obs_smoke.json)
-#  10. streaming smoke — the streaming mode of the load harness:
+#  11. streaming smoke — the streaming mode of the load harness:
 #                open-loop queries against a DoubleBufferedEngine while
 #                the FoldInPump replays a flash-crowd arrival trace
 #                under injected fold faults, asserting p99 within
@@ -46,14 +51,14 @@
 #                BENCH_streaming_smoke.json; the committed
 #                BENCH_streaming_load.json is the reference run and is
 #                never overwritten here; see docs/OPERATIONS.md §10)
-#  11. frontier smoke — the recall/latency frontier harness on the tiny
+#  12. frontier smoke — the recall/latency frontier harness on the tiny
 #                preset, asserting the IVF rung's default operating
 #                point: recall@10 >= 0.95 against the bruteforce oracle
 #                while examining strictly fewer pairs (writes
 #                BENCH_frontier_smoke.json; the committed
 #                BENCH_frontier.json is the offline beijing-small +
 #                beijing-xl run and is never overwritten here)
-#  12. docs links — scripts/check_docs.py: every markdown
+#  13. docs links — scripts/check_docs.py: every markdown
 #                cross-reference and anchor in README/DESIGN/
 #                EXPERIMENTS/docs resolves, and every `file:line`
 #                pointer in docs/ARCHITECTURE.md is in range
@@ -90,6 +95,9 @@ fi
 
 echo "== tier-1 tests =="
 REPRO_CONTRACTS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q
+
+echo "== perfbench oracle tests =="
+python -m pytest perfbench/tests -x -q
 
 echo "== lock-coverage sanitizer stress (REPRO_TSAN=1) =="
 REPRO_TSAN=1 REPRO_CONTRACTS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \

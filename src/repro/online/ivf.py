@@ -48,6 +48,7 @@ import math
 import numpy as np
 
 from repro.contracts import check_shapes
+from repro.online.bruteforce import top_n
 from repro.online.ta import RetrievalResult
 from repro.online.transform import PairSpace, query_vector
 
@@ -443,9 +444,8 @@ class IVFIndex:
     ) -> RetrievalResult:
         """Canonical top-n over the scanned subset.
 
-        Same selection as the brute-force oracle — argpartition, widen
-        boundary-score ties, then lexsort on ``(-score, pair_index)`` —
-        except indices route through ``pair_idx`` so ties break on the
+        The one canonical kernel (:func:`repro.online.bruteforce.top_n`)
+        with ``pair_idx`` as the tie key, so ties break on the
         *original* pair index even when the scanned rows are a
         reordered subset.
         """
@@ -453,14 +453,7 @@ class IVFIndex:
         space = self.space
         if exclude_partner is not None:
             scores = np.where(partner_ids == exclude_partner, -np.inf, scores)
-        k = min(n, total)
-        top = np.argpartition(-scores, k - 1)[:k]
-        if k < total:
-            boundary = scores[top].min()
-            if np.isfinite(boundary):
-                top = np.flatnonzero(scores >= boundary)
-        order = top[np.lexsort((pair_idx[top], -scores[top]))][:k]
-        order = order[np.isfinite(scores[order])]
+        order = top_n(scores, n, keys=pair_idx)
         return RetrievalResult(
             pair_indices=pair_idx[order].astype(np.int64),
             scores=scores[order].astype(np.float64),

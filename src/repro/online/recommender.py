@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.online.bruteforce import BruteForceIndex
+from repro.online.bruteforce import FactoredBruteForceIndex
 from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
-from repro.online.transform import PairSpace
-from repro.serving.engine import Recommendation, ServingEngine
+from repro.serving.engine import Recommendation, ServedPairs, ServingEngine
 
 METHODS = ("ta", "bruteforce")
 
@@ -106,12 +105,13 @@ class EventPartnerRecommender:
         return self.engine.top_k_events
 
     @property
-    def space(self) -> PairSpace:
+    def space(self) -> ServedPairs:
+        """The served pairs: the 2K+1 space (TA) or the factored index."""
         return self.engine.space
 
     @property
-    def index(self) -> BruteForceIndex | ThresholdAlgorithmIndex | None:
-        """The underlying index object (TA or brute-force)."""
+    def index(self) -> FactoredBruteForceIndex | ThresholdAlgorithmIndex | None:
+        """The underlying index object (TA or factored brute force)."""
         return self.engine.backend.index
 
     @property

@@ -27,11 +27,15 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.contracts import check_shapes
 from repro.online.transform import PairSpace, query_vector
+
+if TYPE_CHECKING:
+    from repro.online.bruteforce import FactoredBruteForceIndex
 
 
 @dataclass(slots=True)
@@ -45,7 +49,7 @@ class RetrievalResult:
     ladder records this so approximate answers are never silent.
     """
 
-    pair_indices: np.ndarray  # indices into the PairSpace, best first
+    pair_indices: np.ndarray  # pair indices, best first
     scores: np.ndarray  # inner products, aligned with pair_indices
     n_examined: int  # distinct candidates fully scored
     n_sorted_accesses: int  # total sorted-access steps
@@ -53,11 +57,14 @@ class RetrievalResult:
     exact: bool = True  # stop condition reached (vs budget early exit)
     n_clusters_probed: int = 0  # IVF coarse cells scanned (0 = non-IVF)
 
-    def pairs(self, space: PairSpace) -> list[tuple[int, int, float]]:
+    def pairs(
+        self, space: "PairSpace | FactoredBruteForceIndex"
+    ) -> list[tuple[int, int, float]]:
         """Decode to ``(event_id, partner_id, score)`` triples."""
+        events, partners = space.pair_ids(self.pair_indices)
         return [
-            (int(space.event_ids[i]), int(space.partner_ids[i]), float(s))
-            for i, s in zip(self.pair_indices, self.scores, strict=True)
+            (int(e), int(p), float(s))
+            for e, p, s in zip(events, partners, self.scores, strict=True)
         ]
 
 

@@ -20,17 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.online.bruteforce import top_n
 from repro.serving.engine import Recommendation, ServingEngine
 
 
 def _top_n(ids: np.ndarray, scores: np.ndarray, n: int) -> list[tuple[int, float]]:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    k = min(n, scores.shape[0])
-    if k == 0:
-        return []
-    top = np.argpartition(-scores, k - 1)[:k]
-    order = top[np.lexsort((ids[top], -scores[top]))]
+    """Canonical top-n: descending score, ties by ascending id."""
+    order = top_n(scores, n, keys=ids)
     return [(int(ids[i]), float(scores[i])) for i in order]
 
 

@@ -75,6 +75,10 @@ class PairSpace:
         """(event, partner) of point ``index``."""
         return int(self.event_ids[index]), int(self.partner_ids[index])
 
+    def pair_ids(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(event_ids, partner_ids)`` of the points ``idx``."""
+        return self.event_ids[idx], self.partner_ids[idx]
+
 
 @check_shapes("(n,K),(n,K),(n,),(n,)")
 def transform_pairs(

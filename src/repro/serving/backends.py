@@ -1,13 +1,21 @@
 """Pluggable retrieval backends for the serving engine.
 
-The paper's Section IV offers two ways to answer a top-n query over the
-transformed 2K+1 pair space — a brute-force scan (GEM-BF) and the
-TA-based exact retrieval (GEM-TA) — and the codebase previously exposed
-them as two parallel index classes with ad-hoc call sites.  Here they
-become implementations of one :class:`RetrievalBackend` contract,
-registered by name, so the :class:`~repro.serving.engine.ServingEngine`
-(and any future backend: sharded, approximate, GPU) is selected by
-configuration instead of by divergent code paths.
+The paper's Section IV answers a top-n query with the TA-based exact
+retrieval (GEM-TA) over the transformed 2K+1 pair space, against a
+brute-force scan (GEM-BF).  Each is an implementation of one
+:class:`RetrievalBackend` contract, registered by name, so the
+:class:`~repro.serving.engine.ServingEngine` (and any future backend:
+sharded, approximate, GPU) is selected by configuration instead of by
+divergent code paths.
+
+The serving brute force does not scan the 2K+1 space: it builds a
+:class:`~repro.online.bruteforce.FactoredBruteForceIndex`, which scores
+Eqn 8 as ``u·x + C[x,u'] + u·u'`` from one stored float per pair.  A
+backend's ``needs_pair_space`` tells the engine which input to build:
+the 2K+1 :class:`PairSpace` (TA, IVF) or the factored index (brute
+force).  The paper's 2K+1 GEM-BF stays in
+:class:`~repro.online.bruteforce.BruteForceIndex` for the reproduction
+experiments.
 
 A backend's lifecycle::
 
@@ -28,7 +36,7 @@ concurrently — this is what ``ServingEngine.recommend_many`` relies on.
 **Deadline behaviour:** backends advertising ``supports_budget`` accept
 a ``budget_s`` keyword on ``query`` and return their best-so-far answer
 with ``exact=False`` when the budget expires mid-scan (TA does; brute
-force is a single matmul with no useful interruption point).
+force is one pass over ``C`` with no useful interruption point).
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.online.bruteforce import BruteForceIndex
+from repro.online.bruteforce import FactoredBruteForceIndex
 from repro.online.ivf import IVFIndex
 from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
 from repro.online.transform import PairSpace
@@ -63,9 +71,18 @@ class RetrievalBackend(Protocol):
     #: Whether ``query`` accepts a ``budget_s`` keyword for in-scan
     #: deadline early exit (returning best-so-far with ``exact=False``).
     supports_budget: bool
+    #: Whether ``build`` takes the 2K+1 :class:`PairSpace` (``True``) or
+    #: a :class:`~repro.online.bruteforce.FactoredBruteForceIndex`.
+    needs_pair_space: bool
 
-    def build(self, space: PairSpace) -> None:
-        """Construct the index over a transformed pair space (offline)."""
+    def build(self, space: "PairSpace | FactoredBruteForceIndex") -> None:
+        """Construct the index over the candidate pairs (offline)."""
+        ...
+
+    def extend(
+        self, space: "PairSpace | FactoredBruteForceIndex", n_old: int
+    ) -> None:
+        """Absorb the pairs ``[n_old:]`` appended by a refresh (offline)."""
         ...
 
     def query(
@@ -117,13 +134,14 @@ class _IndexBackend:
 
     prunes_by_default = False
     supports_budget = False
+    needs_pair_space = True
     _not_built = "backend not built; call build(space) first"
 
     def __init__(self) -> None:
-        self.index: BruteForceIndex | ThresholdAlgorithmIndex | None = None
+        self.index: FactoredBruteForceIndex | ThresholdAlgorithmIndex | None = None
 
     @property
-    def space(self) -> PairSpace:
+    def space(self) -> "PairSpace | FactoredBruteForceIndex":
         """The indexed pair space (raises if not built)."""
         if self.index is None:
             raise RuntimeError(self._not_built)
@@ -138,7 +156,9 @@ class _IndexBackend:
         """Resident bytes of the built index (0 before build)."""
         return 0 if self.index is None else self.index.memory_bytes()
 
-    def extend(self, space: PairSpace, n_old: int) -> None:
+    def extend(
+        self, space: "PairSpace | FactoredBruteForceIndex", n_old: int
+    ) -> None:
         """Incrementally absorb the rows ``space.points[n_old:]``.
 
         Single-writer: must not run concurrently with queries (the
@@ -146,6 +166,8 @@ class _IndexBackend:
         """
         if self.index is None:
             raise RuntimeError(self._not_built)
+        assert isinstance(self.index, ThresholdAlgorithmIndex)
+        assert isinstance(space, PairSpace)
         self.index.extend(space, n_old)
 
     def query(
@@ -159,11 +181,42 @@ class _IndexBackend:
 
 @register_backend("bruteforce")
 class BruteForceBackend(_IndexBackend):
-    """Full-scan retrieval (GEM-BF); supports one-matmul batch queries."""
+    """Exact full scan of Eqn 8's factored scores ``a + C + b``.
 
-    def build(self, space: PairSpace) -> None:
-        """Index ``space`` for full scans (no derived state to build)."""
-        self.index = BruteForceIndex(space)
+    Builds from a :class:`~repro.online.bruteforce.
+    FactoredBruteForceIndex` rather than the 2K+1 space; supports
+    batched queries that score ``a`` and ``b`` for the whole batch at
+    once.
+    """
+
+    needs_pair_space = False
+
+    def build(self, space: "PairSpace | FactoredBruteForceIndex") -> None:
+        """Serve ``space``, which must be a factored index (nothing to derive)."""
+        if not isinstance(space, FactoredBruteForceIndex):
+            raise TypeError(
+                "the bruteforce backend serves a FactoredBruteForceIndex, "
+                f"got {type(space).__name__}"
+            )
+        self.index = space
+
+    def extend(
+        self, space: "PairSpace | FactoredBruteForceIndex", n_old: int
+    ) -> None:
+        """Serve the refreshed factored index ``space``.
+
+        Its first ``n_old`` pairs must be the current ones (what
+        :meth:`FactoredBruteForceIndex.extended` returns).  Single-writer,
+        like every backend ``extend``.
+        """
+        if self.index is None:
+            raise RuntimeError(self._not_built)
+        if n_old != self.index.n_pairs:
+            raise ValueError(
+                f"extend expects the first {self.index.n_pairs} pairs to be "
+                f"the current candidates, got n_old={n_old}"
+            )
+        self.build(space)
 
     def query_batch(
         self,
@@ -171,14 +224,18 @@ class BruteForceBackend(_IndexBackend):
         n: int,
         excludes: np.ndarray | None = None,
     ) -> list[RetrievalResult]:
-        """Answer a whole query batch with one candidate-matrix product.
+        """Answer a batch of extended queries ``(batch, 2K+1)``.
 
+        Eqn 8 needs only each query's ``u`` (its first K entries).
         Read-only on the built index and thread-safe, like ``query``.
         """
-        if self.index is None:
+        if not isinstance(self.index, FactoredBruteForceIndex):
             raise RuntimeError(self._not_built)
-        return self.index.query_extended_batch(
-            queries, n, exclude_partners=excludes
+        queries = np.asarray(queries, dtype=np.float64)
+        return self.index.query_batch(
+            queries[:, : self.index.embedding_dim],
+            n,
+            exclude_partners=excludes,
         )
 
 
@@ -238,6 +295,7 @@ class IVFBackend:
 
     prunes_by_default = False
     supports_budget = False
+    needs_pair_space = True
     _not_built = "backend not built; call build(space) first"
 
     def __init__(
@@ -297,7 +355,7 @@ class IVFBackend:
 
 @register_backend("bruteforce-pruned")
 class PrunedBruteForceBackend(BruteForceBackend):
-    """Brute force over a pruned space (engine picks a default k)."""
+    """Factored brute force over a pruned layout (engine picks a default k)."""
 
     prunes_by_default = True
 

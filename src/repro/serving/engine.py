@@ -4,7 +4,11 @@ This is the production substrate for the paper's Section IV: one object
 that owns the offline side (the 2K+1 space transformation, optional
 per-partner top-k pruning, index construction) and the online side
 (single and batched top-n queries, result caching, telemetry), behind a
-pluggable :class:`~repro.serving.backends.RetrievalBackend`.
+pluggable :class:`~repro.serving.backends.RetrievalBackend`.  Brute-force
+engines never build the 2K+1 space: they serve a
+:class:`~repro.online.bruteforce.FactoredBruteForceIndex` (Eqn 8 as
+``u·x + C[x,u'] + u·u'``), and a 2K+1 space is materialised for them
+only for the pruned-TA and opt-in IVF siblings.
 
 Compared with the original ``EventPartnerRecommender`` (now a thin
 facade over this class) the engine adds:
@@ -13,7 +17,7 @@ facade over this class) the engine adds:
   and stamped with a monotonically increasing *embedding version*;
 * **incremental refresh** — :meth:`refresh` folds new events (e.g. from
   :class:`repro.core.fold_in.EventFoldIn`) into the candidate space by
-  transforming only the new pairs and merging them into the existing
+  scoring only the new pairs and merging them into the existing
   index, instead of a cold rebuild;
 * **batched queries** — :meth:`recommend_batch` vectorises query-vector
   construction and, where the backend supports it, answers the whole
@@ -53,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs.tracing import NULL_SPAN, NULL_TRACER, Span, Tracer, stamp_outcome
+from repro.online.bruteforce import BruteForceIndex, FactoredBruteForceIndex
 from repro.online.ivf import IVFIndex
 from repro.online.pruning import build_pruned_pair_space
 from repro.sanitizer import tsan_lock
@@ -80,9 +85,16 @@ from repro.serving.telemetry import (
 )
 from repro.utils.profiling import NULL_PROFILER, Profiler
 
+#: What an engine serves pair indices from: the 2K+1 space (TA engines)
+#: or the factored index (brute-force engines).  Both number pairs the
+#: same way and decode them with ``pair_ids``.
+ServedPairs = PairSpace | FactoredBruteForceIndex
+
 #: Canonical build-phase names recorded by the engine's profiler (the
 #: same :class:`~repro.utils.profiling.Profiler` API the offline trainer
 #: uses, so one report format covers training and serving builds).
+#: Brute-force engines build their factored index under
+#: ``build.index`` and record no ``build.transform``.
 BUILD_PHASES = (
     "build.transform",
     "build.index",
@@ -269,21 +281,23 @@ class ServingEngine:
         self.build_stats = BuildStats()  # replint: guarded-by(_build_lock)
         self._built_monotonic: float | None = None  # replint: guarded-by(_build_lock)
         self._version = 1
-        self._space: PairSpace | None = None
+        self._space: ServedPairs | None = None
         self._cache: OrderedDict[tuple, RetrievalResult] = OrderedDict()  # replint: guarded-by(_cache_lock)
         # Stale-answer cache: (user, n) -> (version, result, space); kept
         # across version bumps on purpose — it backs the stale_cache rung.
         # replint: guarded-by(_cache_lock)
         self._stale: OrderedDict[
-            tuple[int, int], tuple[int, RetrievalResult, PairSpace]
+            tuple[int, int], tuple[int, RetrievalResult, ServedPairs]
         ] = OrderedDict()
         self._pruned_index: ThresholdAlgorithmIndex | None = None
         self._ivf_index: IVFIndex | None = None
-        # Growable append buffers backing incremental refresh: each
-        # fold-in writes its new rows into reserved tail capacity and
-        # re-views the prefix, instead of concatenating (= copying) the
-        # whole pair space per refresh.  Only the build path touches
-        # them; served PairSpace views alias the immutable prefix.
+        # Growable append buffers backing incremental refresh of a 2K+1
+        # space (the TA primary, or a brute-force engine's ivf sibling):
+        # each fold-in writes its new rows into reserved tail capacity
+        # and re-views the prefix, instead of concatenating (= copying)
+        # the whole pair space per refresh.  Only the build path touches
+        # them; served PairSpace views alias the immutable prefix.  The
+        # factored index keeps its own buffers.
         self._buf_points: np.ndarray | None = None  # replint: guarded-by(_build_lock)
         self._buf_partners: np.ndarray | None = None  # replint: guarded-by(_build_lock)
         self._buf_events: np.ndarray | None = None  # replint: guarded-by(_build_lock)
@@ -314,8 +328,13 @@ class ServingEngine:
         return self._space is not None
 
     @property
-    def space(self) -> PairSpace:
-        """The transformed pair space (building it if necessary)."""
+    def space(self) -> ServedPairs:
+        """The served pairs (building them if necessary).
+
+        The 2K+1 :class:`PairSpace` for TA engines, the
+        :class:`~repro.online.bruteforce.FactoredBruteForceIndex` for
+        brute-force ones; both decode pair indices with ``pair_ids``.
+        """
         self.warm()
         assert self._space is not None
         return self._space
@@ -440,12 +459,24 @@ class ServingEngine:
                 assert self._space is not None
                 with _Timer() as ti, self.profiler.phase("build.ivf_sibling"):
                     self._ivf_index = IVFIndex(
-                        self._space,
+                        self._pair_space(),
                         n_clusters=self.ivf_clusters,
                         nprobe=self.ivf_nprobe,
                     )
                 self.build_stats.seconds_building += ti.seconds
         return self
+
+    def _pair_space(self) -> PairSpace:
+        """The primary pairs as a 2K+1 space, for the ivf sibling.
+
+        TA engines already serve one; a brute-force engine materialises
+        it from its factored index, so both number pairs alike.
+        """
+        space = self._space
+        assert space is not None
+        if isinstance(space, FactoredBruteForceIndex):
+            return space.to_pair_space()
+        return space
 
     def _build(self) -> None:
         # Candidate events are few — gather them eagerly; the partner
@@ -461,25 +492,39 @@ class ServingEngine:
             "engine.build", version=self._version, backend=self.backend_name
         ) as bs, _Timer() as t:
             fault_point("backend.build", span=bs)
-            with self.profiler.phase("build.transform"):
-                if k is not None:
-                    space = build_pruned_pair_space(
-                        ev,
-                        pa,
-                        k,
-                        event_ids=self.candidate_events,
-                        partner_ids=self.candidate_partners,
-                    )
-                else:
-                    space = transform_all_pairs(
+            space: ServedPairs
+            if not self._backend.needs_pair_space:
+                # Factored brute force: no 2K+1 transform at all.
+                with self.profiler.phase("build.index"):
+                    space = FactoredBruteForceIndex.build(
                         ev,
                         pa,
                         event_ids=self.candidate_events,
                         partner_ids=self.candidate_partners,
+                        top_k=k,
+                        version=self._version,
                     )
-                space.version = self._version
-            with self.profiler.phase("build.index"):
-                self._backend.build(space)
+                    self._backend.build(space)
+            else:
+                with self.profiler.phase("build.transform"):
+                    if k is not None:
+                        space = build_pruned_pair_space(
+                            ev,
+                            pa,
+                            k,
+                            event_ids=self.candidate_events,
+                            partner_ids=self.candidate_partners,
+                        )
+                    else:
+                        space = transform_all_pairs(
+                            ev,
+                            pa,
+                            event_ids=self.candidate_events,
+                            partner_ids=self.candidate_partners,
+                        )
+                    space.version = self._version
+                with self.profiler.phase("build.index"):
+                    self._backend.build(space)
         self._space = space
         self._built_monotonic = time.monotonic()
         self.build_stats.n_full_builds += 1
@@ -517,7 +562,7 @@ class ServingEngine:
         extend the embedding matrix — they must then be exactly the row
         indices being appended.  Ids already served are skipped.
 
-        Only the *new* (event × partner) pairs are transformed and the
+        Only the *new* (event × partner) pairs are computed and the
         backend absorbs them via its incremental ``extend`` path — the
         pre-existing pair rows are not recomputed (pruned engines keep
         all pairs of a fresh event until the next :meth:`rebuild`, since
@@ -606,34 +651,49 @@ class ServingEngine:
             )
             return int(fresh.size)
 
+        old = self._space
+        fresh_vectors = np.asarray(self.event_vectors[fresh], dtype=np.float64)
+        combined: ServedPairs
         with _Timer() as t:
-            with self.profiler.phase("build.transform"):
-                block = transform_all_pairs(
-                    np.asarray(self.event_vectors[fresh], dtype=np.float64),
-                    np.asarray(
-                        self.user_vectors[self.candidate_partners],
-                        dtype=np.float64,
-                    ),
-                    event_ids=fresh,
-                    partner_ids=self.candidate_partners,
-                )
-                old = self._space
-                combined = self._append_pairs(old, block)
-            with self.profiler.phase("build.index"):
-                if hasattr(self._backend, "extend"):
+            if isinstance(old, FactoredBruteForceIndex):
+                with self.profiler.phase("build.index"):
+                    combined = old.extended(
+                        fresh_vectors, fresh, version=self._version
+                    )
                     self._backend.extend(combined, old.n_pairs)
-                else:
-                    self._backend.build(combined)
-            if self._ivf_index is not None:
-                with self.profiler.phase("build.ivf_sibling"):
-                    self._ivf_index.extend(combined, old.n_pairs)
+                if self._ivf_index is not None:
+                    with self.profiler.phase("build.ivf_sibling"):
+                        self._ivf_index.extend(
+                            self._append_pairs(
+                                self._ivf_index.space,
+                                combined.to_pair_space(old.n_pairs),
+                            ),
+                            old.n_pairs,
+                        )
+            else:
+                with self.profiler.phase("build.transform"):
+                    block = transform_all_pairs(
+                        fresh_vectors,
+                        np.asarray(
+                            self.user_vectors[self.candidate_partners],
+                            dtype=np.float64,
+                        ),
+                        event_ids=fresh,
+                        partner_ids=self.candidate_partners,
+                    )
+                    combined = self._append_pairs(old, block)
+                with self.profiler.phase("build.index"):
+                    self._backend.extend(combined, old.n_pairs)
+                if self._ivf_index is not None:
+                    with self.profiler.phase("build.ivf_sibling"):
+                        self._ivf_index.extend(combined, old.n_pairs)
         self._space = combined
         self._built_monotonic = time.monotonic()
         self.candidate_events = np.concatenate(
             [self.candidate_events, fresh]
         )
         self.build_stats.n_incremental_refreshes += 1
-        self.build_stats.n_pairs_transformed += block.n_pairs
+        self.build_stats.n_pairs_transformed += combined.n_pairs - old.n_pairs
         self.build_stats.seconds_building += t.seconds
         return int(fresh.size)
 
@@ -717,7 +777,7 @@ class ServingEngine:
                 self._cache.popitem(last=False)
 
     def _stale_put(
-        self, user: int, n: int, result: RetrievalResult, space: PairSpace
+        self, user: int, n: int, result: RetrievalResult, space: ServedPairs
     ) -> None:
         """Remember the freshest good answer for (user, n) across versions."""
         if self.stale_cache_size == 0:
@@ -731,7 +791,7 @@ class ServingEngine:
 
     def _stale_get(
         self, user: int, n: int
-    ) -> tuple[int, RetrievalResult, PairSpace] | None:
+    ) -> tuple[int, RetrievalResult, ServedPairs] | None:
         with self._cache_lock:
             entry = self._stale.get((user, n))
             if entry is not None:
@@ -990,16 +1050,23 @@ class ServingEngine:
         remaining_s: float,
         span: Span = NULL_SPAN,
     ) -> RetrievalResult:
-        """Brute-force a budget-sized prefix of the candidate matrix.
+        """Brute-force a budget-sized prefix of the candidate pairs.
 
         The prefix length is planned from an EWMA of observed scan
         throughput so the rung adapts to the hardware it runs on; the
         answer is the exact top-n *of the scanned prefix* (``exact``
-        only when the prefix covered everything).
+        only when the prefix covered everything).  TA engines scan the
+        prefix of their 2K+1 space, brute-force engines that of their
+        factored index; both select with the canonical kernel.
         """
         fault_point("backend.truncated", span=span)
         space = self._space
         assert space is not None
+        scan = (
+            space
+            if isinstance(space, FactoredBruteForceIndex)
+            else BruteForceIndex(space)
+        )
         # Snapshot the throughput estimate under the cache lock: the EWMA
         # is shared mutable state updated by every concurrent truncated
         # query (REP007 guards it).
@@ -1010,35 +1077,14 @@ class ServingEngine:
         )
         m = max(min(space.n_pairs, planned), min(space.n_pairs, 8 * n))
         with _Timer() as t:
-            scores = space.points[:m] @ q
-            scores = np.where(
-                space.partner_ids[:m] == user, -np.inf, scores
-            )
-            k = min(n, m)
-            top = np.argpartition(-scores, k - 1)[:k]
-            # Widen boundary-score ties so the truncated answer follows the
-            # canonical (descending score, ascending index) order too — it
-            # is reported exact when the prefix covers the whole space.
-            if k < m:
-                boundary = scores[top].min()
-                if np.isfinite(boundary):
-                    top = np.flatnonzero(scores[:m] >= boundary)
-            order = top[np.lexsort((top, -scores[top]))][:k]
-            order = order[np.isfinite(scores[order])]
+            result = scan.query_extended(q, n, exclude_partner=user, limit=m)
         if t.seconds > 0:
             observed = m / t.seconds
             with self._cache_lock:
                 self._trunc_rows_per_s = (
                     0.3 * observed + 0.7 * self._trunc_rows_per_s
                 )
-        return RetrievalResult(
-            pair_indices=order.astype(np.int64),
-            scores=scores[order].astype(np.float64),
-            n_examined=m,
-            n_sorted_accesses=0,
-            fraction_examined=m / space.n_pairs,
-            exact=m == space.n_pairs,
-        )
+        return result
 
     def _serve_stale(
         self,
@@ -1356,7 +1402,7 @@ class ServingEngine:
         return self._decode_from(result, space)
 
     def _decode_from(
-        self, result: RetrievalResult, space: PairSpace
+        self, result: RetrievalResult, space: ServedPairs
     ) -> list[Recommendation]:
         return [
             Recommendation(event=e, partner=p, score=s)

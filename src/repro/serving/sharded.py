@@ -14,7 +14,7 @@ Why the merge is exact
 ----------------------
 
 Every engine orders equal scores by ascending pair index (both the TA
-heap and the brute-force ``lexsort`` break ties this way), so the global
+heap and the canonical brute-force kernel break ties this way), so the global
 total order is "descending score, then ascending global pair index".
 Shards are **contiguous** partner-rank slices, and every pair-space
 layout the engine builds — event-major unpruned
@@ -511,13 +511,13 @@ class ShardedServingEngine:
 
     def _shard_list(self, shard: int, result: RetrievalResult) -> _ShardList:
         """Package one shard's result for the merge (keys + ids)."""
-        space = self._shards[shard].space
         idx = result.pair_indices
+        events, partners = self._shards[shard].space.pair_ids(idx)
         return _ShardList(
             scores=np.asarray(result.scores, dtype=np.float64),
             keys=self._global_keys(shard, idx),
-            event_ids=np.asarray(space.event_ids[idx], dtype=np.int64),
-            partner_ids=np.asarray(space.partner_ids[idx], dtype=np.int64),
+            event_ids=np.asarray(events, dtype=np.int64),
+            partner_ids=np.asarray(partners, dtype=np.int64),
         )
 
     # ------------------------------------------------------------------

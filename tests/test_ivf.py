@@ -25,7 +25,7 @@ from repro.online.ivf import (
     default_n_clusters,
     default_nprobe,
 )
-from repro.online.transform import transform_all_pairs
+from repro.online.transform import query_vector, transform_all_pairs
 from repro.serving import ServingEngine
 from repro.serving.backends import create_backend
 
@@ -272,9 +272,13 @@ class TestEngineIvfRung:
 
 
 class TestAppendBuffers:
-    """Satellite: refresh appends into growable buffers, no full copy."""
+    """Satellite: refresh appends into growable buffers, no full copy.
 
-    def _engine(self):
+    Brute-force engines append ``C`` rows to the factored index's
+    buffers; TA engines append 2K+1 rows to the engine's pair buffers.
+    """
+
+    def _engine(self, backend="bruteforce"):
         rng = np.random.default_rng(9)
         users = np.abs(rng.normal(size=(25, 5)))
         events = np.abs(rng.normal(size=(60, 5)))
@@ -282,17 +286,19 @@ class TestAppendBuffers:
             users,
             events,
             np.arange(10, dtype=np.int64),
-            backend="bruteforce",
+            backend=backend,
         ).warm()
 
     def test_second_refresh_reuses_buffer(self):
         engine = self._engine()
         engine.refresh(np.arange(10, 13, dtype=np.int64))
-        buf = engine._buf_points
-        assert buf is not None
-        assert engine.space.points.base is buf
+        buf = engine.space.grid_c.base
+        events_buf = engine.space.events.base
+        assert buf is not None and events_buf is not None
         engine.refresh(np.arange(13, 15, dtype=np.int64))
-        assert engine._buf_points is buf  # appended in place, no realloc
+        # appended in place, no realloc
+        assert engine.space.grid_c.base is buf
+        assert engine.space.events.base is events_buf
         assert engine.space.n_pairs == 15 * 25
 
     def test_refreshed_engine_matches_fresh_build(self):
@@ -314,6 +320,64 @@ class TestAppendBuffers:
     def test_rebuild_releases_buffers(self):
         engine = self._engine()
         engine.refresh(np.arange(10, 12, dtype=np.int64))
+        assert engine.space.grid_c.base is not None
+        engine.rebuild()
+        assert engine.space.grid_c.base is None
+        assert engine._buf_points is None
+
+    def test_ta_second_refresh_reuses_pair_buffer(self):
+        engine = self._engine(backend="ta")
+        engine.refresh(np.arange(10, 13, dtype=np.int64))
+        buf = engine._buf_points
+        assert buf is not None
+        assert engine.space.points.base is buf
+        engine.refresh(np.arange(13, 15, dtype=np.int64))
+        assert engine._buf_points is buf  # appended in place, no realloc
+        assert engine.space.n_pairs == 15 * 25
+
+    def test_ta_refreshed_engine_matches_fresh_build(self):
+        engine = self._engine(backend="ta")
+        engine.refresh(np.arange(10, 40, dtype=np.int64))
+        engine.refresh(np.arange(40, 60, dtype=np.int64))
+        fresh = ServingEngine(
+            engine.user_vectors,
+            engine.event_vectors,
+            np.arange(60, dtype=np.int64),
+            backend="ta",
+        ).warm()
+        for user in range(0, 25, 5):
+            a = engine.query(user, 8)
+            b = fresh.query(user, 8)
+            np.testing.assert_array_equal(a.pair_indices, b.pair_indices)
+            np.testing.assert_array_equal(a.scores, b.scores)
+
+    def test_ta_rebuild_releases_pair_buffers(self):
+        engine = self._engine(backend="ta")
+        engine.refresh(np.arange(10, 12, dtype=np.int64))
         assert engine._buf_points is not None
         engine.rebuild()
         assert engine._buf_points is None
+
+    def test_ivf_sibling_of_bruteforce_engine_refreshes_in_place(self):
+        rng = np.random.default_rng(9)
+        users = np.abs(rng.normal(size=(25, 5)))
+        events = np.abs(rng.normal(size=(60, 5)))
+        engine = ServingEngine(
+            users, events, np.arange(10, dtype=np.int64),
+            backend="bruteforce", ivf_clusters=4, ivf_nprobe=4,
+        ).warm_ladder()
+        engine.refresh(np.arange(10, 13, dtype=np.int64))
+        buf = engine._buf_points
+        assert buf is not None
+        engine.refresh(np.arange(13, 15, dtype=np.int64))
+        assert engine._buf_points is buf
+        sibling = engine._ivf_index
+        assert sibling is not None and sibling.space.points.base is buf
+        # Full probe over the sibling answers with the same pairs as the
+        # factored primary (ranking by the 2K+1 scores).
+        for user in (0, 7, 19):
+            q = query_vector(users[user])
+            a = sibling.query_extended(q, 6, exclude_partner=user)
+            b = engine.query(user, 6)
+            np.testing.assert_array_equal(a.pair_indices, b.pair_indices)
+            np.testing.assert_allclose(a.scores, b.scores, rtol=1e-12)
