@@ -16,6 +16,8 @@ pairs only.
 
 from __future__ import annotations
 
+import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,7 +25,6 @@ import numpy as np
 
 from repro.contracts import check_shapes
 from repro.core.embeddings import EmbeddingSet
-from repro.core.objective import sigmoid
 from repro.ebsn.graphs import EntityType
 from repro.ebsn.regions import RegionAssignment
 from repro.ebsn.text import Vocabulary, tfidf_document, tokenize
@@ -32,6 +33,25 @@ from repro.utils.rng import ensure_rng
 
 if TYPE_CHECKING:
     from repro.serving.engine import ServingEngine
+
+
+#: The SGD loop below is interpreter-bound and never releases the GIL on
+#: its own, so a query thread in the same process (the fold-in pump runs
+#: beside live reads) waits a whole switch interval after each release
+#: its numpy calls make, and a TA read stretches to ~100 ms.  Sleeping
+#: briefly every few steps hands the lock over and keeps such reads near
+#: their idle latency.  The pauses cost wall time but no CPU: ~12 ms per
+#: 400-step event.
+_YIELD_EVERY_STEPS = 4
+_YIELD_S = 5e-5
+
+
+def _sigmoid(x: np.float64) -> float:
+    """Scalar :func:`repro.core.objective.sigmoid`, same branches and bits."""
+    if x >= 0:
+        return float(1.0 / (1.0 + np.exp(-x)))
+    ex = np.exp(x)
+    return float(ex / (1.0 + ex))
 
 
 @dataclass(slots=True)
@@ -135,22 +155,32 @@ class EventFoldIn:
         if not edges:
             return np.zeros(self.embeddings.dim, dtype=np.float32)
         weights = np.array([w for _, _, w in edges], dtype=np.float64)
-        probabilities = weights / weights.sum()
+        # The edge draw is Generator.choice(len(edges), p=weights/sum)
+        # unrolled: the same CDF and one rng.random() per step, searched
+        # like searchsorted(side="right"), so the random stream and the
+        # draws are unchanged.
+        cdf = np.cumsum(weights / weights.sum())
+        cdf = (cdf / cdf[-1]).tolist()
+        matrices = {
+            etype: self.embeddings.of(etype).astype(np.float64)
+            for etype, _node, _w in edges
+        }
 
         vec = np.abs(
             rng.normal(0.0, config.init_scale, size=self.embeddings.dim)
         )
         lr0 = config.learning_rate
         for step in range(config.n_steps):
+            if step % _YIELD_EVERY_STEPS == _YIELD_EVERY_STEPS - 1:
+                time.sleep(_YIELD_S)
             lr = lr0 * max(1.0 - step / config.n_steps, 1e-3)
-            etype, node, _w = edges[int(rng.choice(len(edges), p=probabilities))]
-            matrix = self.embeddings.of(etype).astype(np.float64)
+            etype, node, _w = edges[bisect_right(cdf, rng.random())]
+            matrix = matrices[etype]
             target = matrix[node]
-            g = 1.0 - float(sigmoid(np.array(vec @ target, dtype=np.float64)))
-            grad = g * target
+            grad = (1.0 - _sigmoid(vec @ target)) * target
             for _ in range(config.n_negatives):
                 noise = matrix[int(rng.integers(0, matrix.shape[0]))]
-                grad -= float(sigmoid(np.array(vec @ noise, dtype=np.float64))) * noise
+                grad -= _sigmoid(vec @ noise) * noise
             vec += lr * grad
             if config.nonnegative:
                 np.maximum(vec, 0.0, out=vec)

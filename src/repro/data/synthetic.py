@@ -36,6 +36,7 @@ evaluation measures.  See DESIGN.md §2 for the substitution rationale.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -558,11 +559,16 @@ class SyntheticEBSNGenerator:
         edges: set[tuple[int, int]] = set()
 
         if sizes.sum() > 0:
-            probs = sizes / sizes.sum()
+            # rng.choice(len(community_ids), p=sizes / sizes.sum()) with
+            # its CDF built once: one rng.random() per draw, searched
+            # with side="right" as Generator.choice does, so the stream
+            # and the sampled graph are unchanged.
+            cdf = np.cumsum(sizes / sizes.sum())
+            cdf = (cdf / cdf[-1]).tolist()
             attempts = 0
             while len(edges) < n_intra and attempts < 30 * max(n_intra, 1):
                 attempts += 1
-                cid = community_ids[int(rng.choice(len(community_ids), p=probs))]
+                cid = community_ids[bisect_right(cdf, rng.random())]
                 group = members[cid]
                 if len(group) < 2:
                     continue

@@ -68,13 +68,37 @@ class RetrievalResult:
         ]
 
 
+#: Dimensions negated into one contiguous block per pass of the build and
+#: of :meth:`ThresholdAlgorithmIndex.extend` (bounds the temporary copy
+#: to this many rows of ``n_pairs`` floats).
+_BLOCK_DIMS = 8
+
+
+def _negated_rows(points: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Columns ``[lo:hi)`` of ``points``, negated, as contiguous rows.
+
+    Sorting the negated values ascending (stably) orders candidates by
+    value descending with ties by ascending index — the TA list order.
+    """
+    return np.negative(points[:, lo:hi].T, order="C")
+
+
 class ThresholdAlgorithmIndex:
     """Offline index: per-dimension descending-order candidate lists."""
 
     def __init__(self, space: PairSpace) -> None:
         self.space = space
-        # (n_pairs, dim): column f lists candidate indices by value desc.
-        self.sorted_lists = np.argsort(-space.points, axis=0, kind="stable")
+        # (dim, n_pairs): row f lists candidate indices by value desc, so
+        # every list is contiguous for the merge in :meth:`extend` and
+        # for the windows the query slices off it.
+        lists = np.empty((space.dim, space.n_pairs), dtype=np.int64)
+        # replint: allow-loop(blocks of dimensions; dim = 2K+1, not n_pairs)
+        for lo in range(0, space.dim, _BLOCK_DIMS):
+            neg = _negated_rows(space.points, lo, lo + _BLOCK_DIMS)
+            lists[lo : lo + neg.shape[0]] = np.argsort(
+                neg, axis=1, kind="stable"
+            )
+        self.sorted_lists = lists
 
     @property
     def n_candidates(self) -> int:
@@ -94,12 +118,15 @@ class ThresholdAlgorithmIndex:
         """Incrementally absorb rows ``[n_old:]`` of ``space``.
 
         ``space`` must contain this index's current candidates, unchanged
-        and in order, as its first ``n_old`` rows.  The per-dimension
-        sorted lists are *merged* — the new block is argsorted on its own
-        (O(m log m) per dimension) and spliced into the existing lists
-        with a stable two-way merge (O((n+m)) via ``searchsorted``) —
-        instead of re-sorting the whole space, which is what makes a
-        fold-in refresh cheaper than a cold rebuild.
+        and in order, as its first ``n_old`` rows.  Each sorted list is
+        *merged*, not re-sorted: the ``m`` new rows are argsorted on
+        their own (O(m log m) per dimension), one ``searchsorted`` of the
+        new values into the old list's values gives the new entries'
+        final positions (O(m log n)), and the old list fills the
+        remaining positions in its existing order (O(n + m)).  Old
+        entries precede equal-valued new ones, so the result is the
+        stable argsort of the whole space — bit-identical to a cold
+        build over it.
         """
         if n_old != self.space.n_pairs:
             raise ValueError(
@@ -112,23 +139,28 @@ class ThresholdAlgorithmIndex:
         if n_new == 0:
             self.space = space
             return
-        points = space.points
         old_lists = self.sorted_lists
-        new_lists = (
-            np.argsort(-points[n_old:], axis=0, kind="stable") + n_old
-        )
-        merged = np.empty((space.n_pairs, space.dim), dtype=np.int64)
-        # replint: allow-loop(per-dimension merge; dim = 2K+1, not n_pairs)
-        for f in range(space.dim):
-            a = old_lists[:, f]
-            b = new_lists[:, f]
-            av = -points[a, f]  # ascending views of the descending lists
-            bv = -points[b, f]
-            # Stable merge: old entries precede equal-valued new ones.
-            pos_b = np.searchsorted(av, bv, side="right") + np.arange(n_new)
-            pos_a = np.searchsorted(bv, av, side="left") + np.arange(n_old)
-            merged[pos_a, f] = a
-            merged[pos_b, f] = b
+        merged = np.empty((space.dim, space.n_pairs), dtype=np.int64)
+        offsets = np.arange(n_new, dtype=np.int64)
+        old_slot = np.empty(space.n_pairs, dtype=bool)
+        # replint: allow-loop(blocks of dimensions; dim = 2K+1, not n_pairs)
+        for lo in range(0, space.dim, _BLOCK_DIMS):
+            neg = _negated_rows(space.points, lo, lo + _BLOCK_DIMS)
+            new_lists = np.argsort(neg[:, n_old:], axis=1, kind="stable")
+            new_lists += n_old
+            # replint: allow-loop(lists of one block of dimensions)
+            for r in range(neg.shape[0]):
+                a = old_lists[lo + r]
+                b = new_lists[r]
+                # Ascending values of the descending lists; side="right"
+                # puts each new entry after every equal-valued old one.
+                pos_b = np.searchsorted(neg[r, a], neg[r, b], side="right")
+                pos_b += offsets
+                row = merged[lo + r]
+                row[pos_b] = b
+                old_slot.fill(True)
+                old_slot[pos_b] = False
+                row[old_slot] = a
         self.space = space
         self.sorted_lists = merged
 
@@ -242,9 +274,7 @@ class ThresholdAlgorithmIndex:
         qa = q[active_dims]
         # Frontier values start at each list's maximum (depth 0 not yet
         # consumed): z_f = value of the first entry.
-        frontier = np.array(
-            [points[lists[0, f], f] for f in active_dims], dtype=np.float64
-        )
+        frontier = points[lists[active_dims, 0], active_dims].astype(np.float64)
         contrib = qa * frontier  # q_f * z_f per active list
 
         # Min-heap of (score, -candidate): the weakest entry under the
@@ -280,7 +310,7 @@ class ThresholdAlgorithmIndex:
                 continue
             f = int(active_dims[t])
             stop = min(depths[t] + chunk, n_cand)
-            window = lists[depths[t] : stop, f]
+            window = lists[f, depths[t] : stop]
             n_sorted += window.shape[0]
             fresh = window[~seen[window]]
             if fresh.size:
@@ -299,7 +329,7 @@ class ThresholdAlgorithmIndex:
                         heapq.heapreplace(heap, entry)
             depths[t] = stop
             if stop < n_cand:
-                frontier[t] = points[lists[stop, f], f]
+                frontier[t] = points[lists[f, stop], f]
                 contrib[t] = qa[t] * frontier[t]
             else:
                 contrib[t] = 0.0

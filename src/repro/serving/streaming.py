@@ -40,6 +40,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
@@ -552,7 +553,8 @@ class FoldInPump:
     ``offered == visible + pending() + dropped``.
 
     Staleness telemetry accumulates per published version
-    (:class:`StalenessRecord`) and as overall fold-in lag percentiles;
+    (:class:`StalenessRecord`) and as overall fold-in lag percentiles,
+    each bounded to the newest ``max_lag_samples`` entries;
     :meth:`summary` is the duck-typed payload
     :func:`repro.obs.exporter.foldin_families` exports.  Tuning and
     recovery: docs/OPERATIONS.md §10.
@@ -596,7 +598,7 @@ class FoldInPump:
         self._errors = 0  # replint: guarded-by(_lock)
         self._wedged = 0  # replint: guarded-by(_lock)
         self._batches = 0  # replint: guarded-by(_lock)
-        self._records: list[StalenessRecord] = []  # replint: guarded-by(_lock)
+        self._records: deque[StalenessRecord] = deque(maxlen=max_lag_samples)  # replint: guarded-by(_lock)
         self._lags: list[float] = []  # replint: guarded-by(_lock)
         self._last_error: str | None = None  # replint: guarded-by(_lock)
         self._lock = tsan_lock(threading.Lock(), "_lock")
@@ -698,7 +700,11 @@ class FoldInPump:
             }
 
     def staleness_records(self) -> list[StalenessRecord]:
-        """Per-version visibility records, publication order."""
+        """Per-version visibility records, publication order.
+
+        Only the newest ``max_lag_samples`` records are kept, so a
+        long-running pump holds bounded memory.
+        """
         with self._lock:
             return list(self._records)
 
@@ -720,7 +726,7 @@ class FoldInPump:
         """
         counters = self.counters()
         with self._lock:
-            records = list(self._records[-64:])
+            records = list(islice(reversed(self._records), 64))[::-1]
             last_error = self._last_error
         payload: dict[str, object] = dict(counters)
         payload["swaps"] = self._front.swap_count

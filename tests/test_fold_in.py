@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import GEM
+from repro.core.embeddings import EmbeddingSet
 from repro.core.fold_in import EventFoldIn, FoldInConfig, NewEventDescription
 
 
@@ -149,3 +150,140 @@ class TestFoldIntoEngine:
         ids = fold.fold_into_engine(engine, [])
         assert ids.size == 0
         assert not engine.is_built
+
+
+# ----------------------------------------------------------------------
+# Bit-identity with the straightforward loop
+# ----------------------------------------------------------------------
+def reference_fold_in(fold, event, config=None):
+    """The fold-in loop written plainly: ``rng.choice(p=...)`` per step,
+    the matrix converted per step, the array sigmoid.  The optimised
+    loop must reproduce it bit for bit."""
+    from repro.core.objective import sigmoid
+
+    config = config or FoldInConfig()
+    rng = np.random.default_rng(config.seed)
+    edges = fold._attribute_edges(event)
+    if not edges:
+        return np.zeros(fold.embeddings.dim, dtype=np.float32)
+    weights = np.array([w for _, _, w in edges], dtype=np.float64)
+    probabilities = weights / weights.sum()
+    vec = np.abs(rng.normal(0.0, config.init_scale, size=fold.embeddings.dim))
+    for step in range(config.n_steps):
+        lr = config.learning_rate * max(1.0 - step / config.n_steps, 1e-3)
+        etype, node, _w = edges[int(rng.choice(len(edges), p=probabilities))]
+        matrix = fold.embeddings.of(etype).astype(np.float64)
+        target = matrix[node]
+        g = 1.0 - float(sigmoid(np.array(vec @ target, dtype=np.float64)))
+        grad = g * target
+        for _ in range(config.n_negatives):
+            noise = matrix[int(rng.integers(0, matrix.shape[0]))]
+            grad -= float(sigmoid(np.array(vec @ noise, dtype=np.float64))) * noise
+        vec += lr * grad
+        if config.nonnegative:
+            np.maximum(vec, 0.0, out=vec)
+    return vec.astype(np.float32)
+
+
+class OneEdgeFoldIn(EventFoldIn):
+    """Keeps only an event's first attribute edge (a single-edge event)."""
+
+    def _attribute_edges(self, event):
+        return super()._attribute_edges(event)[:1]
+
+
+def signed_fold(fold, seed):
+    """The same attribute world with signed embeddings, so ``vec · x``
+    takes both signs and both sigmoid branches run."""
+    rng = np.random.default_rng(seed)
+    matrices = {
+        etype: rng.normal(0.0, 1.0, size=m.shape).astype(np.float32)
+        for etype, m in fold.embeddings.matrices.items()
+    }
+    return EventFoldIn(
+        EmbeddingSet(matrices=matrices, dim=fold.embeddings.dim),
+        fold.vocabulary,
+        fold.regions,
+    )
+
+
+class TestMatchesReferenceLoop:
+    CONFIGS = [
+        FoldInConfig(n_steps=60, seed=4),
+        FoldInConfig(n_steps=60, seed=8, nonnegative=False),
+        FoldInConfig(n_steps=30, seed=1, n_negatives=3, init_scale=2.0),
+    ]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_fold_in_bit_identical(self, trained, tiny_ebsn, config):
+        _model, fold = trained
+        for idx in range(4):
+            event = describe(tiny_ebsn, idx)
+            np.testing.assert_array_equal(
+                fold.fold_in(event, config),
+                reference_fold_in(fold, event, config),
+            )
+
+    def test_scalar_sigmoid_matches_array_sigmoid(self):
+        from repro.core.fold_in import _sigmoid
+        from repro.core.objective import sigmoid
+
+        rng = np.random.default_rng(0)
+        xs = np.concatenate(
+            [rng.normal(0.0, scale, 2000) for scale in (0.1, 3.0, 40.0)]
+            + [np.array([0.0, -0.0, 709.0, -709.0, -800.0, 800.0])]
+        )
+        assert (xs < 0).any() and (xs >= 0).any()
+        expected = sigmoid(xs)
+        got = np.array([_sigmoid(np.float64(x)) for x in xs])
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_both_sigmoid_branches(self, trained, tiny_ebsn, config):
+        _model, fold = trained
+        fold = signed_fold(fold, seed=config.seed)
+        event = describe(tiny_ebsn, 5)
+        vec = fold.fold_in(event, config)
+        np.testing.assert_array_equal(
+            vec, reference_fold_in(fold, event, config)
+        )
+        if not config.nonnegative:
+            assert vec.min() < 0.0
+
+    def test_single_edge_event(self, trained, tiny_ebsn):
+        _model, fold = trained
+        one = OneEdgeFoldIn(fold.embeddings, fold.vocabulary, fold.regions)
+        event = describe(tiny_ebsn, 0)
+        assert len(one._attribute_edges(event)) == 1
+        for config in self.CONFIGS:
+            np.testing.assert_array_equal(
+                one.fold_in(event, config), reference_fold_in(one, event, config)
+            )
+
+    def test_loop_hands_the_interpreter_lock_over(
+        self, trained, tiny_ebsn, monkeypatch
+    ):
+        import repro.core.fold_in as fold_module
+
+        pauses = []
+
+        class Clock:
+            @staticmethod
+            def sleep(seconds):
+                pauses.append(seconds)
+
+        monkeypatch.setattr(fold_module, "time", Clock)
+        _model, fold = trained
+        config = FoldInConfig(n_steps=50, seed=4)
+        event = describe(tiny_ebsn, 0)
+        vec = fold.fold_in(event, config)
+        every = fold_module._YIELD_EVERY_STEPS
+        assert pauses == [fold_module._YIELD_S] * (config.n_steps // every)
+        np.testing.assert_array_equal(vec, reference_fold_in(fold, event, config))
+
+    def test_fold_in_many_bit_identical(self, trained, tiny_ebsn):
+        _model, fold = trained
+        events = [describe(tiny_ebsn, idx) for idx in range(6)]
+        config = FoldInConfig(n_steps=40, seed=6)
+        expected = np.stack([reference_fold_in(fold, e, config) for e in events])
+        np.testing.assert_array_equal(fold.fold_in_many(events, config), expected)

@@ -379,6 +379,39 @@ class TestFoldInPump:
         assert summary["swaps"] == front.swap_count == counters["batches"]
         assert summary["versions"][-1]["version"] == front.version
 
+    def test_staleness_records_stay_bounded(self):
+        front = make_front(events=8)
+        pump = FoldInPump(
+            front,
+            make_folder(),
+            config=FoldInConfig(n_steps=2, seed=2),
+            max_batch=1,
+            max_delay_s=0.0,
+            max_lag_samples=3,
+        )
+        with pump:
+            # One arrival per batch: 7 batches against a bound of 3.
+            for arrival in make_arrivals(7):
+                pump.offer(arrival.event)
+                assert pump.drain(timeout_s=30.0)
+        counters = pump.counters()
+        assert counters["batches"] == 7
+        assert counters["offered"] == (
+            counters["visible"] + counters["pending"] + counters["dropped"]
+        )
+        assert counters["visible"] == 7
+        records = pump.staleness_records()
+        assert len(records) == 3
+        # The newest records survive, still in publication order.
+        assert [r.version for r in records] == list(
+            range(front.version - 2, front.version + 1)
+        )
+        summary = pump.summary()
+        assert [v["version"] for v in summary["versions"]] == [
+            r.version for r in records
+        ]
+        assert summary["visible"] == 7
+
     def test_persistent_failure_is_an_explicit_drop(self):
         front = make_front(events=8)
         base = front.n_events

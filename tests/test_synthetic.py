@@ -7,6 +7,7 @@ from dataclasses import replace
 from repro.data.presets import get_preset, make_dataset, preset_names
 from repro.data.synthetic import (
     SyntheticConfig,
+    SyntheticEBSNGenerator,
     generate_ebsn,
 )
 
@@ -164,6 +165,71 @@ class TestGenerativeSignals:
             )
             return counts.std() / max(counts.mean(), 1e-9)
         assert spread(tail) > spread(flat)
+
+
+def reference_friendship_edges(cfg, rng, communities):
+    """The friendship sampler's edge set, drawing each community with
+    ``rng.choice(p=...)`` per attempt (the plain form of the sampler)."""
+    n_intra = int(round(cfg.target_friendships * cfg.intra_community_ratio))
+    n_inter = cfg.target_friendships - n_intra
+    members = {
+        int(cid): np.flatnonzero(communities == cid)
+        for cid in np.unique(communities)
+    }
+    community_ids = sorted(members)
+    sizes = np.array(
+        [len(members[c]) * (len(members[c]) - 1) / 2 for c in community_ids],
+        dtype=np.float64,
+    )
+    edges = set()
+    if sizes.sum() > 0:
+        probs = sizes / sizes.sum()
+        attempts = 0
+        while len(edges) < n_intra and attempts < 30 * max(n_intra, 1):
+            attempts += 1
+            cid = community_ids[int(rng.choice(len(community_ids), p=probs))]
+            group = members[cid]
+            if len(group) < 2:
+                continue
+            a, b = rng.choice(group, size=2, replace=False)
+            edges.add((min(int(a), int(b)), max(int(a), int(b))))
+    attempts = 0
+    target_total = min(cfg.target_friendships, cfg.n_users * (cfg.n_users - 1) // 2)
+    while len(edges) < target_total and attempts < 30 * max(n_inter + n_intra, 1):
+        attempts += 1
+        a, b = rng.integers(0, cfg.n_users, size=2)
+        if a == b:
+            continue
+        edges.add((min(int(a), int(b)), max(int(a), int(b))))
+    return sorted(edges)
+
+
+class TestFriendshipSampler:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"intra_community_ratio": 0.95, "target_friendships": 400},
+            {"intra_community_ratio": 0.0},
+        ],
+    )
+    def test_matches_choice_reference(self, overrides):
+        cfg = small_config(**overrides)
+        communities = np.random.default_rng(9).integers(0, 6, size=cfg.n_users)
+        # One singleton community: a zero-probability entry in the CDF.
+        communities[communities == 5] = 4
+        communities[0] = 5
+        rng_new = np.random.default_rng(21)
+        rng_ref = np.random.default_rng(21)
+        friendships, friend_sets = SyntheticEBSNGenerator(cfg)._sample_friendships(
+            rng_new, communities
+        )
+        expected = reference_friendship_edges(cfg, rng_ref, communities)
+        got = [(int(f.user_a[1:]), int(f.user_b[1:])) for f in friendships]
+        assert got == expected
+        assert sum(len(s) for s in friend_sets) == 2 * len(expected)
+        # The same number of draws: both streams continue identically.
+        assert rng_new.random() == rng_ref.random()
 
 
 class TestPresets:
