@@ -29,11 +29,11 @@ Three generator modes:
   top-n bit-for-bit against a single-index reference engine (the CI
   smoke runs this on the ``tiny`` preset with 2 shards).
 * **streaming** (``--mode streaming``): open-loop queries against a
-  :class:`~repro.serving.DoubleBufferedEngine` *while* a
+  :class:`~repro.serving.ServingEngine` *while* a
   :class:`~repro.serving.FoldInPump` replays a timestamped synthetic
   arrival trace (flash crowds included) and folds the new events into
-  the shadow replica, publishing each batch with an atomic reference
-  flip.  The report adds the streaming ledger (offered = visible +
+  that engine, each batch published as one immutable index snapshot.
+  The report adds the streaming ledger (offered = visible +
   dropped, drained), per-version staleness records, and fold-in lag
   percentiles; ``--assert-staleness-bounded`` turns the staleness SLO
   into an exit code.  Emits ``BENCH_streaming_load.json`` — see
@@ -97,10 +97,7 @@ from repro.obs import (
 from repro.serving import (
     RUNGS,
     AdmissionController,
-    DoubleBufferedEngine,
     FoldInPump,
-    LadderPolicy,
-    MetricsRegistry,
     RequestContext,
     RequestOutcome,
     ServingEngine,
@@ -138,7 +135,7 @@ def build_engine(
 class StreamingWorld:
     """Everything the streaming mode drives, bundled for the report."""
 
-    front: DoubleBufferedEngine
+    engine: ServingEngine
     pump: FoldInPump
     arrivals: list[EventArrival]
     base_events: int
@@ -148,15 +145,15 @@ class StreamingWorld:
 def build_streaming_world(
     args: argparse.Namespace, *, tracer: Tracer | None = None
 ) -> StreamingWorld:
-    """A double-buffered front plus a fold-in pump over synthetic attributes.
+    """A warmed engine plus a fold-in pump over synthetic attributes.
 
     Same synthetic-on-purpose reasoning as :func:`build_engine`, with one
     addition: fold-in needs the *attribute* side of the model (word, time
     slot and region embeddings plus a vocabulary and region map), so a
     small deterministic attribute world is built to match the arrival
-    trace's vocabulary (``t{topic}w{i}`` / ``common{i}``).  Both replicas
-    share one metrics registry, ladder policy and tracer, so telemetry
-    and rung estimates stay continuous across reference flips.
+    trace's vocabulary (``t{topic}w{i}`` / ``common{i}``).  The pump
+    folds straight into the served engine: each refresh is published as
+    one snapshot, so telemetry and rung estimates carry across versions.
     """
     rng = np.random.default_rng(args.seed)
     syn = SyntheticConfig(n_topics=6, words_per_topic=30, n_common_words=40)
@@ -193,25 +190,15 @@ def build_streaming_world(
     )
     folder = EventFoldIn(embeddings, vocabulary, regions)
 
-    user_vectors = embeddings.of(EntityType.USER)
-    event_vectors = embeddings.of(EntityType.EVENT)
-    metrics = MetricsRegistry()
-    ladder = LadderPolicy()
-
-    def replica() -> ServingEngine:
-        return ServingEngine(
-            user_vectors,
-            event_vectors,
-            np.arange(args.events, dtype=np.int64),
-            backend=args.backend,
-            cache_size=args.cache_size,
-            tracer=tracer,
-            metrics=metrics,
-            ladder=ladder,
-        )
-
-    front = DoubleBufferedEngine(replica(), replica())
-    front.warm_ladder()
+    engine = ServingEngine(
+        embeddings.of(EntityType.USER),
+        embeddings.of(EntityType.EVENT),
+        np.arange(args.events, dtype=np.int64),
+        backend=args.backend,
+        cache_size=args.cache_size,
+        tracer=tracer,
+    )
+    engine.warm_ladder()
 
     trace = ArrivalTraceConfig(
         n_arrivals=args.arrivals,
@@ -221,7 +208,7 @@ def build_streaming_world(
     )
     arrivals = generate_arrival_trace(syn, trace)
     pump = FoldInPump(
-        front,
+        engine,
         folder,
         config=FoldInConfig(n_steps=args.foldin_steps, seed=args.seed),
         max_batch=args.foldin_batch,
@@ -229,10 +216,10 @@ def build_streaming_world(
         tracer=tracer,
     )
     return StreamingWorld(
-        front=front,
+        engine=engine,
         pump=pump,
         arrivals=arrivals,
-        base_events=front.n_events,
+        base_events=engine.n_events,
         trace_config=trace,
     )
 
@@ -251,7 +238,7 @@ def run_streaming_phase(
     """Open-loop queries while the pump folds the replayed arrival trace.
 
     A feeder thread replays the trace at wall-clock pace into the pump;
-    the caller's thread drives the standard open loop against the front
+    the caller's thread drives the standard open loop against the engine
     concurrently.  On exit the feeder has finished and the pump has
     drained and stopped, so the streaming ledger in the report is final.
     """
@@ -265,7 +252,7 @@ def run_streaming_phase(
     feeder.start()
     try:
         return run_open_loop(
-            world.front,
+            world.engine,
             user_ids,
             n=n,
             budget_s=budget_s,
@@ -313,7 +300,7 @@ def run_closed_loop(
 
 
 def run_open_loop(
-    engine: ServingEngine | DoubleBufferedEngine,
+    engine: ServingEngine,
     user_ids: np.ndarray,
     *,
     n: int,
@@ -622,7 +609,7 @@ def run_capacity(args: argparse.Namespace) -> int:
 
 
 def summarise(
-    engine: ServingEngine | DoubleBufferedEngine,
+    engine: ServingEngine,
     outcomes: list[RequestOutcome],
     *,
     budget_s: float,
@@ -898,7 +885,7 @@ def main(argv: list[str] | None = None) -> int:
     world: StreamingWorld | None = None
     if args.mode == "streaming":
         world = build_streaming_world(args, tracer=tracer)
-        engine: ServingEngine | DoubleBufferedEngine = world.front
+        engine = world.engine
     else:
         engine = build_engine(args, tracer=tracer)
     if args.faults:
@@ -972,8 +959,8 @@ def main(argv: list[str] | None = None) -> int:
                 "seed": world.trace_config.seed,
             },
             "events_at_start": world.base_events,
-            "events_visible": world.front.n_events,
-            "final_version": world.front.version,
+            "events_visible": world.engine.n_events,
+            "final_version": world.engine.version,
             "staleness_budget_s": args.staleness_budget_s,
             "pump": pump_summary,
         }

@@ -42,7 +42,13 @@ from repro.obs import (
     registry_families,
     tracer_families,
 )
-from repro.serving import ShardedServingEngine, install, parse_faults, uninstall
+from repro.serving import (
+    ShardedServingEngine,
+    install,
+    parse_faults,
+    recommend_many,
+    uninstall,
+)
 
 N_SHARDS = 2
 N_REQUESTS = 48
@@ -68,8 +74,8 @@ def main() -> int:
             tracer=tracer,
         ) as fleet:
             users = rng.integers(0, 64, size=N_REQUESTS)
-            outcomes = fleet.recommend_many(
-                users, n=5, budget_s=BUDGET_S, workers=6, queue_depth=12
+            outcomes = recommend_many(
+                fleet, users, n=5, budget_s=BUDGET_S, workers=6, queue_depth=12
             )
 
             # -- 1. trace completeness -------------------------------

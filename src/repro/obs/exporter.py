@@ -499,7 +499,7 @@ def foldin_families(
     :meth:`repro.serving.streaming.FoldInPump.summary` payload (this
     module never imports ``repro.serving`` at runtime).  Exports the
     zero-silent-drop ledger (arrivals offered / visible / pending /
-    dropped), fold errors and wedged swaps, published swap count,
+    dropped), fold errors, published swap count,
     overall fold-in lag percentiles, and per-version staleness for the
     recently published versions (events made visible and max lag at
     each version stamp).
@@ -522,14 +522,13 @@ def foldin_families(
         "explicitly dropped)",
     )
     errors.add(int(summary["errors"]), kind="all")
-    errors.add(int(summary["wedged"]), kind="wedged_swap")
     swaps = MetricFamily(
         f"{prefix}_foldin_swaps_total", "counter",
-        "Index reference flips published by the double-buffered front",
+        "Index snapshots published by the fold-in pump (one per batch)",
     ).add(int(summary["swaps"]))
     lag = MetricFamily(
         f"{prefix}_foldin_lag_seconds", "gauge",
-        "Fold-in lag (arrival offer to visibility flip), nearest-rank "
+        "Fold-in lag (arrival offer to publication), nearest-rank "
         "percentiles over recent arrivals",
     )
     percentiles = summary.get("lag_percentiles")

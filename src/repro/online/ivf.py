@@ -35,14 +35,15 @@ Three properties the serving stack relies on (property-tested in
   appended rows have larger indices than every existing row, so they
   splice onto each block's tail.
 
-**Thread-safety:** matches the other index classes — ``build``-time
-state is immutable after construction, queries are read-only and may
-run concurrently; ``extend`` is single-writer (the engine's build lock
-serialises it against itself; it is not linearisable with queries).
+**Thread-safety:** matches the other index classes — an index is
+immutable after construction and queries are read-only, so they may run
+concurrently; ``extend`` returns a new index and leaves the old one
+serving.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -281,12 +282,13 @@ class IVFIndex:
         )
 
     # ------------------------------------------------------------------
-    def extend(self, space: PairSpace, n_old: int) -> None:
-        """Incrementally absorb rows ``[n_old:]`` of ``space``.
+    def extend(self, space: PairSpace, n_old: int) -> "IVFIndex":
+        """A new index over ``space``, whose rows ``[n_old:]`` are new.
 
         ``space`` must contain this index's current candidates,
         unchanged and in order, as its first ``n_old`` rows (the same
-        contract as the TA/bruteforce ``extend``).  New rows are
+        contract as the TA/bruteforce ``extend``); this index is left
+        as it is, for readers still holding it.  New rows are
         assigned to the *frozen* centroids and spliced onto the tail of
         their cluster blocks — O(n + m) array moves plus the O(m ·
         n_clusters) assignment, never a re-cluster of the old rows.
@@ -303,9 +305,10 @@ class IVFIndex:
         m = space.n_pairs - n_old
         if m < 0:
             raise ValueError("extended space is smaller than the current one")
+        grown = copy.copy(self)
+        grown.space = space
         if m == 0:
-            self.space = space
-            return
+            return grown
         new_labels = _assign_chunked(space.points[n_old:], self.centroids)
         # Stable order of the fresh rows by (cluster, original index):
         # within equal labels argsort keeps input order, and every fresh
@@ -341,12 +344,12 @@ class IVFIndex:
         order[dest_old] = self._order
         order[dest_new] = n_old + new_order
 
-        self.space = space
-        self._labels = np.concatenate([self._labels, new_labels])
-        self._order = order
-        self._block_points = block_points
-        self._block_partners = block_partners
-        self._offsets = offsets_new
+        grown._labels = np.concatenate([self._labels, new_labels])
+        grown._order = order
+        grown._block_points = block_points
+        grown._block_partners = block_partners
+        grown._offsets = offsets_new
+        return grown
 
     # ------------------------------------------------------------------
     def query(

@@ -25,6 +25,7 @@ recorded embedding version no longer matches the store's.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -205,7 +206,7 @@ def load_engine(path: "str | Path") -> ServingEngine:
 
 
 def _restore_version(engine: ServingEngine, version: int) -> None:
-    engine._version = int(version)
+    engine._snap = dataclasses.replace(engine.snapshot, version=int(version))
     if engine.is_built:
         engine.space.version = int(version)
 

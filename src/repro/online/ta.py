@@ -24,6 +24,7 @@ are skipped.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import time
 from dataclasses import dataclass
@@ -114,19 +115,20 @@ class ThresholdAlgorithmIndex:
             + self.sorted_lists.nbytes
         )
 
-    def extend(self, space: PairSpace, n_old: int) -> None:
-        """Incrementally absorb rows ``[n_old:]`` of ``space``.
+    def extend(self, space: PairSpace, n_old: int) -> "ThresholdAlgorithmIndex":
+        """A new index over ``space``, whose rows ``[n_old:]`` are new.
 
         ``space`` must contain this index's current candidates, unchanged
-        and in order, as its first ``n_old`` rows.  Each sorted list is
-        *merged*, not re-sorted: the ``m`` new rows are argsorted on
-        their own (O(m log m) per dimension), one ``searchsorted`` of the
-        new values into the old list's values gives the new entries'
-        final positions (O(m log n)), and the old list fills the
-        remaining positions in its existing order (O(n + m)).  Old
-        entries precede equal-valued new ones, so the result is the
-        stable argsort of the whole space — bit-identical to a cold
-        build over it.
+        and in order, as its first ``n_old`` rows.  This index is left
+        as it is, so readers still holding it keep a complete index.
+        Each sorted list is *merged*, not re-sorted: the ``m`` new rows
+        are argsorted on their own (O(m log m) per dimension), one
+        ``searchsorted`` of the new values into the old list's values
+        gives the new entries' final positions (O(m log n)), and the old
+        list fills the remaining positions in its existing order
+        (O(n + m)).  Old entries precede equal-valued new ones, so the
+        result is the stable argsort of the whole space — bit-identical
+        to a cold build over it.
         """
         if n_old != self.space.n_pairs:
             raise ValueError(
@@ -136,9 +138,10 @@ class ThresholdAlgorithmIndex:
         n_new = space.n_pairs - n_old
         if n_new < 0:
             raise ValueError("extended space is smaller than the current one")
+        grown = copy.copy(self)
+        grown.space = space
         if n_new == 0:
-            self.space = space
-            return
+            return grown
         old_lists = self.sorted_lists
         merged = np.empty((space.dim, space.n_pairs), dtype=np.int64)
         offsets = np.arange(n_new, dtype=np.int64)
@@ -161,8 +164,8 @@ class ThresholdAlgorithmIndex:
                 old_slot.fill(True)
                 old_slot[pos_b] = False
                 row[old_slot] = a
-        self.space = space
-        self.sorted_lists = merged
+        grown.sorted_lists = merged
+        return grown
 
     # ------------------------------------------------------------------
     def query(

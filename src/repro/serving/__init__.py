@@ -10,19 +10,20 @@ backends, incremental refresh, batching, caching, and query telemetry:
 
 Deadline-aware serving rides on the same engine: ``recommend_within``
 serves one request under a budget via the degradation ladder
-(``full -> pruned -> truncated -> stale_cache``), and ``recommend_many``
-drives it concurrently behind a bounded admission queue with explicit
-load shedding — see :mod:`repro.serving.lifecycle`,
+(``full -> pruned -> ivf -> truncated -> stale_cache``), and
+:func:`recommend_many` drives any engine's ``recommend_within``
+concurrently behind a bounded admission queue with explicit load
+shedding — see :mod:`repro.serving.lifecycle`,
 :mod:`repro.serving.faults`, DESIGN.md §8 and docs/OPERATIONS.md.
 
 Scale-out and streaming ride on the same surface:
 :class:`ShardedServingEngine` partitions candidate partners into
-contiguous rank shards with an exact top-n merge (DESIGN.md, PR 5),
-and :mod:`repro.serving.streaming` serves live traffic while folding
-in post-training event arrivals — a :class:`FoldInPump` batches
-arrivals into a shadow replica and a :class:`DoubleBufferedEngine`
-publishes it with an atomic reference flip, so queries never block on
-a rebuild (DESIGN.md §11, docs/OPERATIONS.md §10).
+contiguous rank shards with an exact top-n merge (see its module),
+and every ``refresh`` publishes the next index as one immutable
+:class:`IndexSnapshot`, so queries never block on a rebuild and see
+the old version or the new one, never a mixture.  A
+:class:`FoldInPump` batches post-training event arrivals into a live
+engine (DESIGN.md §11, docs/OPERATIONS.md §10).
 
 The legacy :class:`repro.online.EventPartnerRecommender` and
 ``repro.online.tasks`` APIs remain as thin facades over this engine.
@@ -38,6 +39,7 @@ from repro.serving.backends import (
 )
 from repro.serving.engine import (
     DEFAULT_PRUNED_FRACTION,
+    IndexSnapshot,
     Recommendation,
     ServingEngine,
 )
@@ -60,13 +62,13 @@ from repro.serving.lifecycle import (
     LadderPolicy,
     RequestContext,
     RequestOutcome,
+    recommend_many,
 )
 from repro.serving.sharded import ShardedServingEngine, merge_sharded_topn
 from repro.serving.streaming import (
     DoubleBufferedEngine,
     FoldInPump,
     StalenessRecord,
-    SwapWedgedError,
 )
 from repro.serving.telemetry import (
     BuildStats,
@@ -84,6 +86,7 @@ __all__ = [
     "FaultPlan",
     "FoldInPump",
     "FaultSpec",
+    "IndexSnapshot",
     "InjectedFault",
     "LadderPolicy",
     "MetricsRegistry",
@@ -99,7 +102,6 @@ __all__ = [
     "ServingEngine",
     "ShardedServingEngine",
     "StalenessRecord",
-    "SwapWedgedError",
     "ThresholdAlgorithmBackend",
     "merge_sharded_topn",
     "active_plan",
@@ -109,6 +111,7 @@ __all__ = [
     "install",
     "parse_faults",
     "percentile",
+    "recommend_many",
     "register_backend",
     "uninstall",
 ]

@@ -27,11 +27,11 @@ A backend's lifecycle::
 algorithms but request the engine's per-partner top-k event pruning by
 default (Fig 7's operating point) when the caller did not choose a k.
 
-**Thread-safety:** ``build``/``extend`` are single-writer operations the
-engine serialises under its build lock; ``query``/``query_batch`` only
-*read* the built index (NumPy arrays that are never mutated after
-build), so any number of serving workers may query one backend
-concurrently — this is what ``ServingEngine.recommend_many`` relies on.
+**Thread-safety:** ``build`` fills a fresh, not yet published backend,
+and ``extend`` returns a new backend over the grown index, leaving the
+one it was called on serving; ``query``/``query_batch`` only *read* the
+built index (NumPy arrays that are never mutated after build), so any
+number of serving workers may query one backend concurrently.
 
 **Deadline behaviour:** backends advertising ``supports_budget`` accept
 a ``budget_s`` keyword on ``query`` and return their best-so-far answer
@@ -41,6 +41,7 @@ force is one pass over ``C`` with no useful interruption point).
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -59,9 +60,8 @@ class RetrievalBackend(Protocol):
     (\\vec u, \\vec u, 1)` — the engine owns the transformation — and
     returns a :class:`~repro.online.ta.RetrievalResult` carrying the
     access statistics the telemetry layer records.  Queries on a built
-    backend are read-only and thread-safe; ``build`` is not, and must
-    not run concurrently with queries (the engine's build lock enforces
-    this).
+    backend are read-only and thread-safe; ``build`` is called once, on
+    a backend no reader holds yet.
     """
 
     name: str
@@ -81,8 +81,8 @@ class RetrievalBackend(Protocol):
 
     def extend(
         self, space: "PairSpace | FactoredBruteForceIndex", n_old: int
-    ) -> None:
-        """Absorb the pairs ``[n_old:]`` appended by a refresh (offline)."""
+    ) -> "RetrievalBackend":
+        """A new backend that also serves the pairs ``[n_old:]`` of ``space``."""
         ...
 
     def query(
@@ -138,7 +138,9 @@ class _IndexBackend:
     _not_built = "backend not built; call build(space) first"
 
     def __init__(self) -> None:
-        self.index: FactoredBruteForceIndex | ThresholdAlgorithmIndex | None = None
+        self.index: (
+            FactoredBruteForceIndex | ThresholdAlgorithmIndex | IVFIndex | None
+        ) = None
 
     @property
     def space(self) -> "PairSpace | FactoredBruteForceIndex":
@@ -158,17 +160,15 @@ class _IndexBackend:
 
     def extend(
         self, space: "PairSpace | FactoredBruteForceIndex", n_old: int
-    ) -> None:
-        """Incrementally absorb the rows ``space.points[n_old:]``.
-
-        Single-writer: must not run concurrently with queries (the
-        engine holds its build lock around this).
-        """
+    ) -> "_IndexBackend":
+        """A new backend whose index also holds the rows ``[n_old:]``."""
         if self.index is None:
             raise RuntimeError(self._not_built)
-        assert isinstance(self.index, ThresholdAlgorithmIndex)
+        assert not isinstance(self.index, FactoredBruteForceIndex)
         assert isinstance(space, PairSpace)
-        self.index.extend(space, n_old)
+        grown = copy.copy(self)
+        grown.index = self.index.extend(space, n_old)
+        return grown
 
     def query(
         self, q: np.ndarray, n: int, exclude: int | None = None
@@ -202,12 +202,11 @@ class BruteForceBackend(_IndexBackend):
 
     def extend(
         self, space: "PairSpace | FactoredBruteForceIndex", n_old: int
-    ) -> None:
-        """Serve the refreshed factored index ``space``.
+    ) -> "BruteForceBackend":
+        """A new backend serving the refreshed factored index ``space``.
 
         Its first ``n_old`` pairs must be the current ones (what
-        :meth:`FactoredBruteForceIndex.extended` returns).  Single-writer,
-        like every backend ``extend``.
+        :meth:`FactoredBruteForceIndex.extended` returns).
         """
         if self.index is None:
             raise RuntimeError(self._not_built)
@@ -216,7 +215,9 @@ class BruteForceBackend(_IndexBackend):
                 f"extend expects the first {self.index.n_pairs} pairs to be "
                 f"the current candidates, got n_old={n_old}"
             )
-        self.build(space)
+        grown = copy.copy(self)
+        grown.build(space)
+        return grown
 
     def query_batch(
         self,
@@ -279,24 +280,18 @@ class ThresholdAlgorithmBackend(_IndexBackend):
 
 
 @register_backend("ivf")
-class IVFBackend:
+class IVFBackend(_IndexBackend):
     """Clustered inverted-file retrieval (sublinear, recall-bounded).
 
     The first registered backend whose answers are *approximate by
     configuration*: queries scan only the ``nprobe`` nearest coarse
     clusters, so ``RetrievalResult.exact`` is ``False`` unless the probe
     covered the whole space (``nprobe == n_clusters`` reproduces brute
-    force bit-for-bit — see :mod:`repro.online.ivf`).  ``build`` /
-    ``extend`` follow the single-writer contract; queries are read-only
-    and thread-safe.  Construction knobs (cluster count, probe width,
-    k-means seed) are fixed per instance; the engine surfaces them as
-    ``ivf_clusters`` / ``ivf_nprobe``.
+    force bit-for-bit — see :mod:`repro.online.ivf`).  Construction
+    knobs (cluster count, probe width, k-means seed) are fixed per
+    instance; the engine surfaces them as ``ivf_clusters`` /
+    ``ivf_nprobe``.
     """
-
-    prunes_by_default = False
-    supports_budget = False
-    needs_pair_space = True
-    _not_built = "backend not built; call build(space) first"
 
     def __init__(
         self,
@@ -304,26 +299,10 @@ class IVFBackend:
         nprobe: int | None = None,
         seed: int = 0,
     ) -> None:
-        self.index: IVFIndex | None = None
+        super().__init__()
         self.n_clusters = n_clusters
         self.nprobe = nprobe
         self.seed = seed
-
-    @property
-    def space(self) -> PairSpace:
-        """The indexed pair space (raises if not built)."""
-        if self.index is None:
-            raise RuntimeError(self._not_built)
-        return self.index.space
-
-    @property
-    def n_candidates(self) -> int:
-        """Number of indexed candidate pairs (0 before build)."""
-        return 0 if self.index is None else self.index.n_candidates
-
-    def memory_bytes(self) -> int:
-        """Resident bytes of the built index (0 before build)."""
-        return 0 if self.index is None else self.index.memory_bytes()
 
     def build(self, space: PairSpace) -> None:
         """Train the coarse quantizer and lay out the cluster blocks."""
@@ -333,24 +312,6 @@ class IVFBackend:
             nprobe=self.nprobe,
             seed=self.seed,
         )
-
-    def extend(self, space: PairSpace, n_old: int) -> None:
-        """Splice the appended rows into their cluster blocks.
-
-        Single-writer, like every backend ``extend`` (the engine holds
-        its build lock around this).
-        """
-        if self.index is None:
-            raise RuntimeError(self._not_built)
-        self.index.extend(space, n_old)
-
-    def query(
-        self, q: np.ndarray, n: int, exclude: int | None = None
-    ) -> RetrievalResult:
-        """Top-n over the default probe width (read-only, thread-safe)."""
-        if self.index is None:
-            raise RuntimeError(self._not_built)
-        return self.index.query_extended(q, n, exclude_partner=exclude)
 
 
 @register_backend("bruteforce-pruned")

@@ -29,21 +29,21 @@ facade over this class) the engine adds:
   request under a :class:`~repro.serving.lifecycle.RequestContext`
   budget, stepping down the degradation ladder (``full -> pruned ->
   ivf -> truncated -> stale_cache``) as the budget shrinks, and
-  :meth:`recommend_many` drives the engine from a thread pool behind a
-  bounded admission queue with explicit load shedding.
+  :func:`repro.serving.lifecycle.recommend_many` drives it from a
+  thread pool behind a bounded admission queue with explicit load
+  shedding.
 
-**Thread-safety:** queries (``query``, ``recommend``,
-``recommend_batch``, ``recommend_within``, ``recommend_many``) may run
-concurrently from any number of threads — index reads are immutable
-NumPy arrays, and the result/stale caches and telemetry are
-lock-protected.  Maintenance (:meth:`warm`, :meth:`warm_ladder`,
-:meth:`rebuild`, :meth:`refresh`) is serialised on an internal build
-lock against *itself*, but is **not** linearisable with in-flight
-queries — in a multi-threaded deployment, serve through the
-double-buffered front (:class:`repro.serving.streaming.
-DoubleBufferedEngine`), which folds into a shadow replica and
-publishes it with an atomic reference flip, or quiesce traffic before
-refreshing.  See DESIGN.md §8/§11 and docs/OPERATIONS.md.
+**Thread-safety:** everything maintenance changes — the version, the
+candidate events and event vectors, the served index and its ladder
+siblings, the build time — lives in one frozen :class:`IndexSnapshot`.
+Maintenance (:meth:`warm`, :meth:`warm_ladder`, :meth:`rebuild`,
+:meth:`refresh`) builds the next snapshot under an internal build lock
+and publishes it with a single attribute store; every query loads the
+published snapshot once and reads nothing else that maintenance
+changes.  Queries therefore run concurrently with each other and with
+maintenance, take no build lock, and each sees one complete version:
+old or new, never a mixture.  The result/stale caches and telemetry are
+lock-protected.  See DESIGN.md §8/§11 and docs/OPERATIONS.md.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,12 +69,12 @@ from repro.online.transform import (
 from repro.serving.backends import RetrievalBackend, create_backend
 from repro.serving.faults import InjectedFault, fault_point
 from repro.serving.lifecycle import (
-    RUNGS,
-    AdmissionController,
     LadderPolicy,
     RequestContext,
     RequestOutcome,
     SHED_DEADLINE_EXPIRED,
+    validate_user,
+    validate_users,
 )
 from repro.serving.telemetry import (
     BuildStats,
@@ -171,6 +170,44 @@ class Recommendation:
     score: float
 
 
+@dataclass(frozen=True, slots=True)
+class IndexSnapshot:
+    """One published version of everything a query reads.
+
+    Maintenance never changes a published snapshot: it builds the next
+    one and publishes it with a single attribute store.  A reader that
+    loaded a snapshot keeps a complete, self-consistent index — its
+    version, candidates, served pairs and ladder siblings all belong
+    together — however many refreshes are published meanwhile.
+    ``space`` and ``backend`` are ``None`` until the first build.
+    """
+
+    version: int
+    candidate_events: np.ndarray
+    event_vectors: np.ndarray
+    space: ServedPairs | None = None
+    backend: RetrievalBackend | None = None
+    pruned: ThresholdAlgorithmIndex | None = None
+    ivf: IVFIndex | None = None
+    built_monotonic: float | None = None
+
+    @property
+    def rungs(self) -> tuple[str, ...]:
+        """The ladder rungs this snapshot can serve, best first.
+
+        ``pruned`` requires its sibling index (see
+        :meth:`ServingEngine.warm_ladder`) and ``ivf`` its clustered
+        sibling; ``truncated`` and ``stale_cache`` are always present
+        (the stale rung sheds when it has nothing to replay).
+        """
+        rungs = ["full"]
+        if self.pruned is not None:
+            rungs.append("pruned")
+        if self.ivf is not None:
+            rungs.append("ivf")
+        return (*rungs, "truncated", "stale_cache")
+
+
 class ServingEngine:
     """Versioned, cached, batch-capable joint recommendation service.
 
@@ -222,6 +259,13 @@ class ServingEngine:
         write); defaults to the shared disabled
         :data:`~repro.obs.tracing.NULL_TRACER`, which makes every span
         operation a structural no-op.
+
+    **Thread-safety:** every method may be called from any thread.
+    Queries load the published :class:`IndexSnapshot` once and never
+    wait for maintenance; :meth:`refresh`, :meth:`rebuild` and
+    :meth:`warm_ladder` build the next snapshot under the build lock
+    and publish it whole, so a query concurrent with them answers from
+    the old version or the new one, never a mixture (DESIGN.md §11).
     """
 
     def __init__(
@@ -243,9 +287,8 @@ class ServingEngine:
         tracer: Tracer | None = None,
     ) -> None:
         self.user_vectors = _as_served(user_vectors)
-        self.event_vectors = _as_served(event_vectors)
-        self.candidate_events = np.asarray(candidate_events, dtype=np.int64)
-        if self.candidate_events.size == 0:
+        candidates = np.asarray(candidate_events, dtype=np.int64)
+        if candidates.size == 0:
             raise ValueError("candidate_events must be non-empty")
         if candidate_partners is None:
             candidate_partners = np.arange(
@@ -267,7 +310,7 @@ class ServingEngine:
         if ivf_nprobe is not None and ivf_clusters is None:
             raise ValueError("ivf_nprobe requires ivf_clusters")
         self.backend_name = backend
-        self._backend: RetrievalBackend = create_backend(backend)
+        self._prunes_by_default = create_backend(backend).prunes_by_default
         self.top_k_events = top_k_events
         self.ivf_clusters = ivf_clusters
         self.ivf_nprobe = ivf_nprobe
@@ -279,9 +322,16 @@ class ServingEngine:
         self.profiler = profiler if profiler is not None else NULL_PROFILER  # replint: guarded-by(_build_lock)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.build_stats = BuildStats()  # replint: guarded-by(_build_lock)
-        self._built_monotonic: float | None = None  # replint: guarded-by(_build_lock)
-        self._version = 1
-        self._space: ServedPairs | None = None
+        # The publication point: queries load this one attribute without
+        # a lock (a reference load is atomic); only the build path
+        # stores it, under _build_lock, after the next snapshot is
+        # complete.  Deliberately not lock-annotated — the lock-free
+        # read is the design (DESIGN.md §11).
+        self._snap = IndexSnapshot(
+            version=1,
+            candidate_events=candidates,
+            event_vectors=_as_served(event_vectors),
+        )
         self._cache: OrderedDict[tuple, RetrievalResult] = OrderedDict()  # replint: guarded-by(_cache_lock)
         # Stale-answer cache: (user, n) -> (version, result, space); kept
         # across version bumps on purpose — it backs the stale_cache rung.
@@ -289,15 +339,13 @@ class ServingEngine:
         self._stale: OrderedDict[
             tuple[int, int], tuple[int, RetrievalResult, ServedPairs]
         ] = OrderedDict()
-        self._pruned_index: ThresholdAlgorithmIndex | None = None
-        self._ivf_index: IVFIndex | None = None
         # Growable append buffers backing incremental refresh of a 2K+1
         # space (the TA primary, or a brute-force engine's ivf sibling):
         # each fold-in writes its new rows into reserved tail capacity
         # and re-views the prefix, instead of concatenating (= copying)
         # the whole pair space per refresh.  Only the build path touches
-        # them; served PairSpace views alias the immutable prefix.  The
-        # factored index keeps its own buffers.
+        # them; published PairSpace views alias the immutable prefix.
+        # The factored index keeps its own buffers.
         self._buf_points: np.ndarray | None = None  # replint: guarded-by(_build_lock)
         self._buf_partners: np.ndarray | None = None  # replint: guarded-by(_build_lock)
         self._buf_events: np.ndarray | None = None  # replint: guarded-by(_build_lock)
@@ -308,9 +356,24 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # introspection
     @property
+    def snapshot(self) -> IndexSnapshot:
+        """The published snapshot (unbuilt until the first query/warm)."""
+        return self._snap
+
+    @property
     def version(self) -> int:
         """The embedding version currently served."""
-        return self._version
+        return self._snap.version
+
+    @property
+    def candidate_events(self) -> np.ndarray:
+        """Global ids of the events currently served."""
+        return self._snap.candidate_events
+
+    @property
+    def event_vectors(self) -> np.ndarray:
+        """The event embedding matrix, folded-in rows included."""
+        return self._snap.event_vectors
 
     @property
     def n_users(self) -> int:
@@ -320,12 +383,12 @@ class ServingEngine:
     @property
     def n_events(self) -> int:
         """Rows of the event embedding matrix."""
-        return int(self.event_vectors.shape[0])
+        return int(self._snap.event_vectors.shape[0])
 
     @property
     def is_built(self) -> bool:
         """Whether the primary index has been materialised yet."""
-        return self._space is not None
+        return self._snap.space is not None
 
     @property
     def space(self) -> ServedPairs:
@@ -335,15 +398,16 @@ class ServingEngine:
         :class:`~repro.online.bruteforce.FactoredBruteForceIndex` for
         brute-force ones; both decode pair indices with ``pair_ids``.
         """
-        self.warm()
-        assert self._space is not None
-        return self._space
+        space = self._built().space
+        assert space is not None
+        return space
 
     @property
     def backend(self) -> RetrievalBackend:
         """The built retrieval backend (building it if necessary)."""
-        self.warm()
-        return self._backend
+        backend = self._built().backend
+        assert backend is not None
+        return backend
 
     @property
     def n_candidate_pairs(self) -> int:
@@ -352,7 +416,8 @@ class ServingEngine:
 
     def memory_bytes(self) -> int:
         """Resident bytes of the built index (0 before first build)."""
-        return self._backend.memory_bytes()
+        backend = self._snap.backend
+        return 0 if backend is None else backend.memory_bytes()
 
     def index_age_s(self) -> float:
         """Seconds since the served index was last built or refreshed.
@@ -363,8 +428,7 @@ class ServingEngine:
         operator how far the served index lags the trainer.  Measured on
         the monotonic clock; thread-safe.
         """
-        with self._build_lock:
-            built = self._built_monotonic
+        built = self._snap.built_monotonic
         if built is None:
             return -1.0
         return time.monotonic() - built
@@ -388,26 +452,33 @@ class ServingEngine:
 
     # ------------------------------------------------------------------
     # offline: build / refresh
-    def _effective_top_k(self) -> int | None:
+    def _effective_top_k(self, n_candidates: int) -> int | None:
         if self.top_k_events is not None:
             return self.top_k_events
-        if getattr(self._backend, "prunes_by_default", False):
-            return max(
-                1,
-                int(round(DEFAULT_PRUNED_FRACTION * self.candidate_events.size)),
-            )
+        if self._prunes_by_default:
+            return max(1, int(round(DEFAULT_PRUNED_FRACTION * n_candidates)))
         return None
+
+    def _built(self) -> IndexSnapshot:
+        """The published snapshot, building the primary index first if needed.
+
+        Double-checked under the build lock, so only one thread builds.
+        """
+        snap = self._snap
+        if snap.space is None:
+            with self._build_lock:
+                if self._snap.space is None:
+                    self._snap = self._build(self._snap)
+                snap = self._snap
+        return snap
 
     def warm(self) -> "ServingEngine":
         """Build the index now (otherwise it happens on first query).
 
-        Idempotent and safe to call from multiple threads (double-checked
-        under the build lock); only one thread performs the build.
+        Idempotent and safe to call from multiple threads; only one
+        thread performs the build.
         """
-        if self._space is None:
-            with self._build_lock:
-                if self._space is None:
-                    self._build()
+        self._built()
         return self
 
     def warm_ladder(self) -> "ServingEngine":
@@ -426,85 +497,74 @@ class ServingEngine:
         it absorbs the appended rows through its incremental ``extend``
         path — and is only dropped by :meth:`rebuild`.
         """
-        self.warm()
+        self._built()
         with self._build_lock:
-            if self._pruned_index is None and self._effective_top_k() is None:
-                k = max(
-                    1,
-                    int(
-                        round(
-                            DEFAULT_PRUNED_FRACTION
-                            * self.candidate_events.size
-                        )
-                    ),
-                )
+            snap = self._snap
+            assert snap.space is not None
+            pruned, ivf = snap.pruned, snap.ivf
+            n_cand = snap.candidate_events.size
+            if pruned is None and self._effective_top_k(n_cand) is None:
+                k = max(1, int(round(DEFAULT_PRUNED_FRACTION * n_cand)))
                 with _Timer() as t, self.profiler.phase("build.pruned_sibling"):
                     space = build_pruned_pair_space(
                         np.asarray(
-                            self.event_vectors[self.candidate_events],
+                            snap.event_vectors[snap.candidate_events],
                             dtype=np.float64,
                         ),
                         _candidate_rows(
                             self.user_vectors, self.candidate_partners
                         ),
                         k,
-                        event_ids=self.candidate_events,
+                        event_ids=snap.candidate_events,
                         partner_ids=self.candidate_partners,
                     )
-                    space.version = self._version
-                    self._pruned_index = ThresholdAlgorithmIndex(space)
+                    space.version = snap.version
+                    pruned = ThresholdAlgorithmIndex(space)
                 self.build_stats.n_pairs_transformed += space.n_pairs
                 self.build_stats.seconds_building += t.seconds
-            if self._ivf_index is None and self.ivf_clusters is not None:
-                assert self._space is not None
+            if ivf is None and self.ivf_clusters is not None:
                 with _Timer() as ti, self.profiler.phase("build.ivf_sibling"):
-                    self._ivf_index = IVFIndex(
-                        self._pair_space(),
+                    primary = snap.space
+                    ivf = IVFIndex(
+                        primary.to_pair_space()
+                        if isinstance(primary, FactoredBruteForceIndex)
+                        else primary,
                         n_clusters=self.ivf_clusters,
                         nprobe=self.ivf_nprobe,
                     )
                 self.build_stats.seconds_building += ti.seconds
+            self._snap = replace(snap, pruned=pruned, ivf=ivf)
         return self
 
-    def _pair_space(self) -> PairSpace:
-        """The primary pairs as a 2K+1 space, for the ivf sibling.
-
-        TA engines already serve one; a brute-force engine materialises
-        it from its factored index, so both number pairs alike.
-        """
-        space = self._space
-        assert space is not None
-        if isinstance(space, FactoredBruteForceIndex):
-            return space.to_pair_space()
-        return space
-
-    def _build(self) -> None:
+    def _build(self, base: IndexSnapshot) -> IndexSnapshot:
+        """``base`` with its primary index built (caller holds the build lock)."""
         # Candidate events are few — gather them eagerly; the partner
         # slice can be millions of memmap rows, so it stays lazy when
         # contiguous (the pruned build chunks it; widening at the point
         # of use keeps results bit-identical to the eager float64 path).
         ev = np.asarray(
-            self.event_vectors[self.candidate_events], dtype=np.float64
+            base.event_vectors[base.candidate_events], dtype=np.float64
         )
         pa = _candidate_rows(self.user_vectors, self.candidate_partners)
-        k = self._effective_top_k()
+        k = self._effective_top_k(base.candidate_events.size)
+        backend = create_backend(self.backend_name)
         with self.tracer.start(
-            "engine.build", version=self._version, backend=self.backend_name
+            "engine.build", version=base.version, backend=self.backend_name
         ) as bs, _Timer() as t:
             fault_point("backend.build", span=bs)
             space: ServedPairs
-            if not self._backend.needs_pair_space:
+            if not backend.needs_pair_space:
                 # Factored brute force: no 2K+1 transform at all.
                 with self.profiler.phase("build.index"):
                     space = FactoredBruteForceIndex.build(
                         ev,
                         pa,
-                        event_ids=self.candidate_events,
+                        event_ids=base.candidate_events,
                         partner_ids=self.candidate_partners,
                         top_k=k,
-                        version=self._version,
+                        version=base.version,
                     )
-                    self._backend.build(space)
+                    backend.build(space)
             else:
                 with self.profiler.phase("build.transform"):
                     if k is not None:
@@ -512,42 +572,45 @@ class ServingEngine:
                             ev,
                             pa,
                             k,
-                            event_ids=self.candidate_events,
+                            event_ids=base.candidate_events,
                             partner_ids=self.candidate_partners,
                         )
                     else:
                         space = transform_all_pairs(
                             ev,
                             pa,
-                            event_ids=self.candidate_events,
+                            event_ids=base.candidate_events,
                             partner_ids=self.candidate_partners,
                         )
-                    space.version = self._version
+                    space.version = base.version
                 with self.profiler.phase("build.index"):
-                    self._backend.build(space)
-        self._space = space
-        self._built_monotonic = time.monotonic()
+                    backend.build(space)
         self.build_stats.n_full_builds += 1
         self.build_stats.n_pairs_transformed += space.n_pairs
         self.build_stats.seconds_building += t.seconds
+        return replace(
+            base,
+            space=space,
+            backend=backend,
+            pruned=None,
+            ivf=None,
+            built_monotonic=time.monotonic(),
+        )
 
     def rebuild(self) -> None:
         """Cold rebuild under a new version (reapplies pruning).
 
-        Serialised on the build lock; not linearisable with in-flight
-        queries (see the class docstring).  Drops the pruned and ivf
-        siblings (and the append buffers) — re-warm with
-        :meth:`warm_ladder`.
+        Serialised on the build lock and published whole, like
+        :meth:`refresh`.  Drops the pruned and ivf siblings (and the
+        append buffers) — re-warm with :meth:`warm_ladder`.
         """
         with self._build_lock:
-            self._version += 1
-            self._clear_result_cache()
-            self._pruned_index = None
-            self._ivf_index = None
             self._buf_points = None
             self._buf_partners = None
             self._buf_events = None
-            self._build()
+            snap = self._snap
+            self._snap = self._build(replace(snap, version=snap.version + 1))
+            self._clear_result_cache()
 
     def refresh(
         self,
@@ -573,25 +636,34 @@ class ServingEngine:
         warmed ivf sibling is *kept* — it absorbs the new pairs through
         its own incremental ``extend``.  The new rows are appended into
         geometrically over-allocated buffers, so a fold-in costs O(new
-        pairs) amortised instead of copying the whole space (the
-        shadow-rebuild cost that used to floor streaming staleness —
-        docs/OPERATIONS.md §10).  Serialised on the build lock; not
-        linearisable with in-flight queries — the zero-downtime
-        spelling is
-        :meth:`repro.serving.streaming.DoubleBufferedEngine.refresh`.
-        Returns the number of events actually added.
+        pairs) amortised instead of copying the whole space
+        (docs/OPERATIONS.md §10).  Safe under traffic: the next
+        snapshot is built beside the served one and published with one
+        attribute store, so each query sees the old version or the new
+        one, never a mixture.  Serialised on the build lock.  Returns
+        the number of events actually added.
         """
         with self._build_lock:
-            return self._refresh_locked(new_event_ids, new_event_vectors)
+            snap, added = self._refreshed(
+                self._snap, new_event_ids, new_event_vectors
+            )
+            if added:
+                self._snap = snap
+                self._clear_result_cache()
+            return added
 
-    def _refresh_locked(
+    def _refreshed(
         self,
+        snap: IndexSnapshot,
         new_event_ids: np.ndarray,
         new_event_vectors: np.ndarray | None,
-    ) -> int:
+    ) -> tuple[IndexSnapshot, int]:
+        """The snapshot after folding the events in, and how many were new."""
         new_event_ids = np.atleast_1d(
             np.asarray(new_event_ids, dtype=np.int64)
         )
+        event_vectors = snap.event_vectors
+        n_events = int(event_vectors.shape[0])
         if new_event_vectors is not None:
             new_event_vectors = np.asarray(
                 new_event_vectors, dtype=np.float64
@@ -601,16 +673,14 @@ class ServingEngine:
                     "new_event_vectors must be (len(new_event_ids), K), "
                     f"got {new_event_vectors.shape}"
                 )
-            if new_event_vectors.shape[1] != self.event_vectors.shape[1]:
+            if new_event_vectors.shape[1] != event_vectors.shape[1]:
                 raise ValueError(
                     f"new event vectors have dim "
                     f"{new_event_vectors.shape[1]}, expected "
-                    f"{self.event_vectors.shape[1]}"
+                    f"{event_vectors.shape[1]}"
                 )
             expected = np.arange(
-                self.n_events,
-                self.n_events + new_event_ids.size,
-                dtype=np.int64,
+                n_events, n_events + new_event_ids.size, dtype=np.int64
             )
             if not np.array_equal(np.sort(new_event_ids), expected):
                 raise ValueError(
@@ -622,51 +692,57 @@ class ServingEngine:
             # memmap store is append-immutable once frozen); the *user*
             # matrix — the one that scales with millions of users — stays
             # a zero-copy view.
-            self.event_vectors = np.vstack(
+            event_vectors = np.vstack(
                 [
-                    np.asarray(self.event_vectors, dtype=np.float64),
+                    np.asarray(event_vectors, dtype=np.float64),
                     new_event_vectors[order],
                 ]
             )
-        elif new_event_ids.size and new_event_ids.max() >= self.n_events:
+        elif new_event_ids.size and new_event_ids.max() >= n_events:
             raise ValueError(
                 f"event id {int(new_event_ids.max())} is outside the "
-                f"embedding matrix ({self.n_events} events); pass "
+                f"embedding matrix ({n_events} events); pass "
                 "new_event_vectors to extend it"
             )
 
         fresh = new_event_ids[
-            ~np.isin(new_event_ids, self.candidate_events)
+            ~np.isin(new_event_ids, snap.candidate_events)
         ]
         if fresh.size == 0:
-            return 0
-
-        self._version += 1
-        self._clear_result_cache()
-        self._pruned_index = None
-        if self._space is None:
+            return snap, 0
+        version = snap.version + 1
+        candidates = np.concatenate([snap.candidate_events, fresh])
+        old = snap.space
+        if old is None:
             # Not built yet: the (lazy) first build will cover everything.
-            self.candidate_events = np.concatenate(
-                [self.candidate_events, fresh]
+            return (
+                replace(
+                    snap,
+                    version=version,
+                    candidate_events=candidates,
+                    event_vectors=event_vectors,
+                ),
+                int(fresh.size),
             )
-            return int(fresh.size)
 
-        old = self._space
-        fresh_vectors = np.asarray(self.event_vectors[fresh], dtype=np.float64)
+        assert snap.backend is not None
+        fresh_vectors = np.asarray(event_vectors[fresh], dtype=np.float64)
+        ivf = snap.ivf
         combined: ServedPairs
         with _Timer() as t:
             if isinstance(old, FactoredBruteForceIndex):
                 with self.profiler.phase("build.index"):
                     combined = old.extended(
-                        fresh_vectors, fresh, version=self._version
+                        fresh_vectors, fresh, version=version
                     )
-                    self._backend.extend(combined, old.n_pairs)
-                if self._ivf_index is not None:
+                    backend = snap.backend.extend(combined, old.n_pairs)
+                if ivf is not None:
                     with self.profiler.phase("build.ivf_sibling"):
-                        self._ivf_index.extend(
+                        ivf = ivf.extend(
                             self._append_pairs(
-                                self._ivf_index.space,
+                                ivf.space,
                                 combined.to_pair_space(old.n_pairs),
+                                version,
                             ),
                             old.n_pairs,
                         )
@@ -681,26 +757,35 @@ class ServingEngine:
                         event_ids=fresh,
                         partner_ids=self.candidate_partners,
                     )
-                    combined = self._append_pairs(old, block)
+                    combined = self._append_pairs(old, block, version)
                 with self.profiler.phase("build.index"):
-                    self._backend.extend(combined, old.n_pairs)
-                if self._ivf_index is not None:
+                    backend = snap.backend.extend(combined, old.n_pairs)
+                if ivf is not None:
                     with self.profiler.phase("build.ivf_sibling"):
-                        self._ivf_index.extend(combined, old.n_pairs)
-        self._space = combined
-        self._built_monotonic = time.monotonic()
-        self.candidate_events = np.concatenate(
-            [self.candidate_events, fresh]
-        )
+                        ivf = ivf.extend(combined, old.n_pairs)
         self.build_stats.n_incremental_refreshes += 1
         self.build_stats.n_pairs_transformed += combined.n_pairs - old.n_pairs
         self.build_stats.seconds_building += t.seconds
-        return int(fresh.size)
+        return (
+            IndexSnapshot(
+                version=version,
+                candidate_events=candidates,
+                event_vectors=event_vectors,
+                space=combined,
+                backend=backend,
+                pruned=None,
+                ivf=ivf,
+                built_monotonic=time.monotonic(),
+            ),
+            int(fresh.size),
+        )
 
-    def _append_pairs(self, old: PairSpace, block: PairSpace) -> PairSpace:
+    def _append_pairs(
+        self, old: PairSpace, block: PairSpace, version: int
+    ) -> PairSpace:
         """Append ``block``'s rows after ``old``'s without copying ``old``.
 
-        The served :class:`PairSpace` is a prefix *view* of growable
+        A published :class:`PairSpace` is a prefix *view* of growable
         buffers owned by the engine.  When the buffers have room the new
         rows are written past the prefix and a longer view is returned —
         O(new pairs), not O(all pairs).  When they do not (first fold-in
@@ -736,20 +821,11 @@ class ServingEngine:
             points=self._buf_points[:need],
             partner_ids=self._buf_partners[:need],
             event_ids=self._buf_events[:need],
-            version=self._version,
+            version=version,
         )
 
     # ------------------------------------------------------------------
     # online: queries
-    def _validate_user(self, user: int) -> int:
-        user = int(user)
-        if not 0 <= user < self.n_users:
-            raise ValueError(
-                f"user {user} is out of range for user_vectors with "
-                f"{self.n_users} rows"
-            )
-        return user
-
     def _record(self, stats: QueryStats) -> None:
         self.metrics.record(stats)
 
@@ -777,13 +853,18 @@ class ServingEngine:
                 self._cache.popitem(last=False)
 
     def _stale_put(
-        self, user: int, n: int, result: RetrievalResult, space: ServedPairs
+        self,
+        version: int,
+        user: int,
+        n: int,
+        result: RetrievalResult,
+        space: ServedPairs,
     ) -> None:
         """Remember the freshest good answer for (user, n) across versions."""
         if self.stale_cache_size == 0:
             return
         with self._cache_lock:
-            self._stale[(user, n)] = (self._version, result, space)
+            self._stale[(user, n)] = (version, result, space)
             self._stale.move_to_end((user, n))
             # replint: allow-loop(LRU eviction pops at most one stale entry)
             while len(self._stale) > self.stale_cache_size:
@@ -804,11 +885,15 @@ class ServingEngine:
         Thread-safe; no deadline — the configured backend runs to
         completion (rung ``full`` in the recorded stats).
         """
-        user = self._validate_user(user)
-        self.warm()
-        key = (self._version, user, int(n))
+        user = validate_user(user, self.n_users)
+        return self._query(self._built(), user, int(n))
+
+    def _query(self, snap: IndexSnapshot, user: int, n: int) -> RetrievalResult:
+        """:meth:`query` against one snapshot (the sharded fan-out leg)."""
+        assert snap.space is not None and snap.backend is not None
+        key = (snap.version, user, n)
         with self.tracer.start(
-            "engine.query", user=user, n=int(n), backend=self.backend_name
+            "engine.query", user=user, n=n, backend=self.backend_name
         ) as root, _Timer() as total:
             cached = self._cache_get(key)
             if cached is not None:
@@ -821,20 +906,19 @@ class ServingEngine:
                     )
                 with root.child("retrieval") as rs, _Timer() as tr:
                     fault_point("backend.query", span=rs)
-                    result = self._backend.query(q, n, exclude=user)
+                    result = snap.backend.query(q, n, exclude=user)
                 t_q, t_r = tq.seconds, tr.seconds
                 with root.child("cache.write"):
                     self._cache_put(key, result)
-                    assert self._space is not None
-                    self._stale_put(user, int(n), result, self._space)
-            root.tag(cache_hit=cached is not None, version=self._version)
+                    self._stale_put(snap.version, user, n, result, snap.space)
+            root.tag(cache_hit=cached is not None, version=snap.version)
         self._record(
             QueryStats(
                 user=user,
-                n=int(n),
+                n=n,
                 backend=self.backend_name,
-                version=self._version,
-                n_candidates=self._space.n_pairs,
+                version=snap.version,
+                n_candidates=snap.space.n_pairs,
                 n_examined=0 if cached is not None else result.n_examined,
                 n_sorted_accesses=(
                     0 if cached is not None else result.n_sorted_accesses
@@ -856,8 +940,10 @@ class ServingEngine:
 
     def recommend(self, user: int, n: int = 10) -> list[Recommendation]:
         """Top-n event-partner recommendations for ``user`` (no deadline)."""
-        result = self.query(user, n)
-        return self._decode(result)
+        user = validate_user(user, self.n_users)
+        snap = self._built()
+        assert snap.space is not None
+        return _decode(self._query(snap, user, int(n)), snap.space)
 
     def recommend_batch(
         self, users: np.ndarray, n: int = 10
@@ -870,9 +956,15 @@ class ServingEngine:
         product.  Results are identical to calling :meth:`recommend` per
         user.  Thread-safe, but intended as a single caller's bulk path
         — for concurrent deadline-scoped traffic use
-        :meth:`recommend_many`.
+        :func:`repro.serving.lifecycle.recommend_many`.
         """
-        return [self._decode(r) for r in self.query_batch(users, n)]
+        user_list = validate_users(users, self.n_users)
+        snap = self._built()
+        assert snap.space is not None
+        return [
+            _decode(r, snap.space)
+            for r in self._query_batch(snap, user_list, int(n))
+        ]
 
     def query_batch(
         self, users: np.ndarray, n: int = 10
@@ -881,16 +973,18 @@ class ServingEngine:
 
         The engine pass behind :meth:`recommend_batch` (identical
         caching, telemetry, and ordering); exposed separately so callers
-        that merge across engines — :class:`ShardedServingEngine` — can
-        reach the scores and local pair indices before decoding.
+        can reach the scores and pair indices before decoding.
         Thread-safe, no deadline.
         """
-        users = [
-            self._validate_user(u)
-            for u in np.atleast_1d(np.asarray(users, dtype=np.int64))
-        ]
-        self.warm()
-        n = int(n)
+        user_list = validate_users(users, self.n_users)
+        return self._query_batch(self._built(), user_list, int(n))
+
+    def _query_batch(
+        self, snap: IndexSnapshot, users: list[int], n: int
+    ) -> list[RetrievalResult]:
+        """:meth:`query_batch` against one snapshot (validated users)."""
+        assert snap.space is not None and snap.backend is not None
+        backend = snap.backend
         results: dict[int, RetrievalResult] = {}
         hit_flags: dict[int, bool] = {}
         misses: list[int] = []
@@ -901,7 +995,7 @@ class ServingEngine:
             pending: set[int] = set()
             # replint: allow-loop(per-user cache/dedup bookkeeping, O(batch))
             for u in users:
-                cached = self._cache_get((self._version, u, n))
+                cached = self._cache_get((snap.version, u, n))
                 if cached is not None:
                     results[u] = cached
                     hit_flags[u] = True
@@ -922,13 +1016,13 @@ class ServingEngine:
                     "retrieval", n_misses=len(misses)
                 ) as rs, _Timer() as tr:
                     fault_point("backend.batch", span=rs)
-                    if hasattr(self._backend, "query_batch"):
-                        batch = self._backend.query_batch(
+                    if hasattr(backend, "query_batch"):
+                        batch = backend.query_batch(
                             queries, n, excludes=miss_arr
                         )
                     else:
                         batch = [
-                            self._backend.query(queries[i], n, exclude=u)
+                            backend.query(queries[i], n, exclude=u)
                             for i, u in enumerate(misses)
                         ]
                 t_q, t_r = tq.seconds, tr.seconds
@@ -937,9 +1031,8 @@ class ServingEngine:
                     for u, result in zip(misses, batch, strict=True):
                         results[u] = result
                         hit_flags[u] = False
-                        self._cache_put((self._version, u, n), result)
-                        assert self._space is not None
-                        self._stale_put(u, n, result, self._space)
+                        self._cache_put((snap.version, u, n), result)
+                        self._stale_put(snap.version, u, n, result, snap.space)
             root.tag(n_cache_hits=len(users) - len(misses))
         # Amortise the batch wall-clock evenly across the recorded queries.
         per_query = total.seconds / max(len(users), 1)
@@ -954,8 +1047,8 @@ class ServingEngine:
                     user=u,
                     n=n,
                     backend=self.backend_name,
-                    version=self._version,
-                    n_candidates=self._space.n_pairs,
+                    version=snap.version,
+                    n_candidates=snap.space.n_pairs,
                     n_examined=0 if hit else result.n_examined,
                     n_sorted_accesses=0 if hit else result.n_sorted_accesses,
                     fraction_examined=0.0 if hit else result.fraction_examined,
@@ -972,26 +1065,9 @@ class ServingEngine:
 
     # ------------------------------------------------------------------
     # online: deadline-aware queries (the request lifecycle)
-    def _available_rungs(self) -> tuple[str, ...]:
-        """The ladder rungs this engine can serve right now, best first.
-
-        ``pruned`` requires its sibling index (see :meth:`warm_ladder`)
-        and is redundant when the primary index is already pruned;
-        ``ivf`` requires its clustered sibling (``ivf_clusters`` set and
-        warmed); ``stale_cache`` requires a non-zero stale cache —
-        without one, expired deadlines shed instead of serving stale.
-        """
-        rungs = ["full"]
-        if self._pruned_index is not None:
-            rungs.append("pruned")
-        if self._ivf_index is not None:
-            rungs.append("ivf")
-        rungs.append("truncated")
-        rungs.append("stale_cache")
-        return tuple(rungs)
-
     def _run_full(
         self,
+        snap: IndexSnapshot,
         q: np.ndarray,
         user: int,
         n: int,
@@ -999,14 +1075,17 @@ class ServingEngine:
         span: Span = NULL_SPAN,
     ) -> RetrievalResult:
         fault_point("backend.query", span=span)
-        if getattr(self._backend, "supports_budget", False):
-            return self._backend.query(  # type: ignore[call-arg]
+        backend = snap.backend
+        assert backend is not None
+        if backend.supports_budget:
+            return backend.query(  # type: ignore[call-arg]
                 q, n, exclude=user, budget_s=max(remaining_s, 1e-4)
             )
-        return self._backend.query(q, n, exclude=user)
+        return backend.query(q, n, exclude=user)
 
     def _run_pruned(
         self,
+        snap: IndexSnapshot,
         q: np.ndarray,
         user: int,
         n: int,
@@ -1014,15 +1093,15 @@ class ServingEngine:
         span: Span = NULL_SPAN,
     ) -> RetrievalResult:
         fault_point("backend.pruned", span=span)
-        index = self._pruned_index
-        if index is None:
+        if snap.pruned is None:
             raise RuntimeError("pruned rung not warmed; call warm_ladder()")
-        return index.query_extended(
+        return snap.pruned.query_extended(
             q, n, exclude_partner=user, budget_s=max(remaining_s, 1e-4)
         )
 
     def _run_ivf(
         self,
+        snap: IndexSnapshot,
         q: np.ndarray,
         user: int,
         n: int,
@@ -1037,13 +1116,13 @@ class ServingEngine:
         per-query telemetry.
         """
         fault_point("backend.ivf", span=span)
-        index = self._ivf_index
-        if index is None:
+        if snap.ivf is None:
             raise RuntimeError("ivf rung not warmed; call warm_ladder()")
-        return index.query_extended(q, n, exclude_partner=user)
+        return snap.ivf.query_extended(q, n, exclude_partner=user)
 
     def _run_truncated(
         self,
+        snap: IndexSnapshot,
         q: np.ndarray,
         user: int,
         n: int,
@@ -1060,7 +1139,7 @@ class ServingEngine:
         factored index; both select with the canonical kernel.
         """
         fault_point("backend.truncated", span=span)
-        space = self._space
+        space = snap.space
         assert space is not None
         scan = (
             space
@@ -1088,6 +1167,7 @@ class ServingEngine:
 
     def _serve_stale(
         self,
+        snap: IndexSnapshot,
         user: int,
         n: int,
         ctx: RequestContext,
@@ -1109,13 +1189,13 @@ class ServingEngine:
                 return outcome
             version, result, space = entry
             rs.tag(hit=True, stale_version=version)
-            assert self._space is not None
+            assert snap.space is not None
             stats = QueryStats(
                 user=user,
                 n=n,
                 backend=self.backend_name,
                 version=version,
-                n_candidates=self._space.n_pairs,
+                n_candidates=snap.space.n_pairs,
                 n_examined=0,
                 n_sorted_accesses=0,
                 fraction_examined=0.0,
@@ -1134,7 +1214,7 @@ class ServingEngine:
                 user=user,
                 n=n,
                 answered=True,
-                recommendations=self._decode_from(result, space),
+                recommendations=_decode(result, space),
                 stats=stats,
             )
         stamp_outcome(span, outcome)
@@ -1157,10 +1237,10 @@ class ServingEngine:
         down on rung failure (e.g. injected faults) or overrun, and
         always returns an explicit :class:`RequestOutcome` — an answer
         with the serving rung recorded in its stats, or a shed with a
-        reason.  Thread-safe.
+        reason.  The whole ladder walk reads one snapshot.  Thread-safe.
 
         Tracing: a root span already parked on ``ctx.span`` (by
-        :meth:`recommend_many` or a sharded fan-out parent) is adopted —
+        :func:`~repro.serving.lifecycle.recommend_many`) is adopted —
         rung attempts become its children and the submitter owns its
         lifetime.  Otherwise a fresh root is opened and closed here.
         """
@@ -1169,12 +1249,12 @@ class ServingEngine:
         if ctx is None:
             assert budget_s is not None
             ctx = RequestContext.with_budget(budget_s)
-        user = self._validate_user(user)
+        user = validate_user(user, self.n_users)
         n = int(n)
-        self.warm()
+        snap = self._built()
         parent = ctx.span
         if parent is not None:
-            return self._serve_within(user, n, ctx, parent)
+            return self._serve_within(snap, user, n, ctx, parent)
         with self.tracer.start(
             "request",
             user=user,
@@ -1183,30 +1263,35 @@ class ServingEngine:
             budget_s=ctx.budget_s,
         ) as root:
             ctx.span = root
-            outcome = self._serve_within(user, n, ctx, root)
+            outcome = self._serve_within(snap, user, n, ctx, root)
         return outcome
 
     def _serve_within(
-        self, user: int, n: int, ctx: RequestContext, span: Span
+        self,
+        snap: IndexSnapshot,
+        user: int,
+        n: int,
+        ctx: RequestContext,
+        span: Span,
     ) -> RequestOutcome:
-        """The ladder walk behind :meth:`recommend_within`.
+        """The ladder walk behind :meth:`recommend_within`, on one snapshot.
 
         ``span`` is the request's root span (possibly ``NULL_SPAN``);
         every exit path stamps its outcome onto it via
         :func:`~repro.obs.tracing.stamp_outcome` — the caller owns the
         span's lifetime.
         """
-        assert self._space is not None
+        assert snap.space is not None
 
         # A version-current cached result is a free exact answer.
-        cached = self._cache_get((self._version, user, n))
+        cached = self._cache_get((snap.version, user, n))
         if cached is not None:
             stats = QueryStats(
                 user=user,
                 n=n,
                 backend=self.backend_name,
-                version=self._version,
-                n_candidates=self._space.n_pairs,
+                version=snap.version,
+                n_candidates=snap.space.n_pairs,
                 n_examined=0,
                 n_sorted_accesses=0,
                 fraction_examined=0.0,
@@ -1224,13 +1309,13 @@ class ServingEngine:
                 user=user,
                 n=n,
                 answered=True,
-                recommendations=self._decode(cached),
+                recommendations=_decode(cached, snap.space),
                 stats=stats,
             )
             stamp_outcome(span, outcome)
             return outcome
 
-        available = self._available_rungs()
+        available = snap.rungs
         first = self.ladder.select(ctx.remaining(), available=available)
         runners = {
             "full": self._run_full,
@@ -1244,13 +1329,13 @@ class ServingEngine:
         # replint: allow-loop(<= 5 ladder rungs per request, not candidates)
         for rung in available[available.index(first):]:
             if rung == "stale_cache":
-                return self._serve_stale(user, n, ctx, span)
+                return self._serve_stale(snap, user, n, ctx, span)
             try:
                 with span.child(
                     "rung." + rung, rung=rung
                 ) as rung_span, _Timer() as t:
                     result = runners[rung](
-                        q, user, n, ctx.remaining(), rung_span
+                        snap, q, user, n, ctx.remaining(), rung_span
                     )
             except (InjectedFault, RuntimeError):
                 continue  # rung failed: step down
@@ -1259,21 +1344,21 @@ class ServingEngine:
                 rung_span.tag(discarded=True)
                 continue  # budget ran out before anything was scored
             serving_space = (
-                self._pruned_index.space
-                if rung == "pruned" and self._pruned_index is not None
-                else self._space
+                snap.pruned.space
+                if rung == "pruned" and snap.pruned is not None
+                else snap.space
             )
             exact = result.exact and rung == "full"
             with span.child("cache.write"):
                 if exact:
-                    self._cache_put((self._version, user, n), result)
-                self._stale_put(user, n, result, serving_space)
+                    self._cache_put((snap.version, user, n), result)
+                self._stale_put(snap.version, user, n, result, serving_space)
             stats = QueryStats(
                 user=user,
                 n=n,
                 backend=self.backend_name,
-                version=self._version,
-                n_candidates=self._space.n_pairs,
+                version=snap.version,
+                n_candidates=snap.space.n_pairs,
                 n_examined=result.n_examined,
                 n_sorted_accesses=result.n_sorted_accesses,
                 fraction_examined=result.fraction_examined,
@@ -1293,118 +1378,17 @@ class ServingEngine:
                 user=user,
                 n=n,
                 answered=True,
-                recommendations=self._decode_from(result, serving_space),
+                recommendations=_decode(result, serving_space),
                 stats=stats,
             )
             stamp_outcome(span, outcome)
             return outcome
-        return self._serve_stale(user, n, ctx, span)
+        return self._serve_stale(snap, user, n, ctx, span)
 
-    def recommend_many(
-        self,
-        users: np.ndarray,
-        n: int = 10,
-        *,
-        budget_s: float = 0.05,
-        workers: int = 4,
-        queue_depth: int | None = None,
-    ) -> list[RequestOutcome]:
-        """Serve many deadline-scoped requests from a thread pool.
 
-        Each request gets its own :class:`RequestContext` whose budget
-        starts at *submission* — time spent waiting for a worker drains
-        it, so an overloaded pool degrades (and ultimately sheds)
-        instead of silently answering late.  ``queue_depth`` bounds
-        admitted-but-unfinished requests; beyond it, requests are shed
-        immediately with reason ``queue_full`` (``None`` = unbounded, no
-        admission shedding).  Returns one :class:`RequestOutcome` per
-        input user, in input order — zero silent drops, by construction.
-        Thread-safe; the pool is private to this call.
-
-        Tracing: each request's root span is opened at *submission*
-        (via :meth:`Tracer.request`, the explicit cross-thread spelling)
-        and parked on its context; the worker that dequeues it annotates
-        the queue wait and finishes the root — explicit propagation, no
-        thread-local state.  Admission sheds get a root too, so every
-        submitted request appears in the flight recorder's offer stream.
-        """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        user_list = [
-            self._validate_user(u)
-            for u in np.atleast_1d(np.asarray(users, dtype=np.int64))
-        ]
-        self.warm()
-        controller = (
-            AdmissionController(queue_depth, metrics=self.metrics)
-            if queue_depth is not None
-            else None
-        )
-        outcomes: list[RequestOutcome | None] = [None] * len(user_list)
-
-        def serve(
-            u: int, ctx: RequestContext, admitted: AdmissionController | None
-        ) -> RequestOutcome:
-            span = ctx.span
-            try:
-                wait_s = ctx.mark_dequeued()
-                if span is not None:
-                    span.annotate("queue.wait", wait_s)
-                return self.recommend_within(u, n, ctx=ctx)
-            finally:
-                if span is not None:
-                    span.finish()
-                if admitted is not None:
-                    admitted.release()
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures: dict[Future[RequestOutcome], int] = {}
-            # replint: allow-loop(admission/submission per request, O(batch))
-            for i, u in enumerate(user_list):
-                if controller is not None and not controller.try_admit():
-                    outcome = RequestOutcome(
-                        user=u,
-                        n=int(n),
-                        answered=False,
-                        shed_reason="queue_full",
-                    )
-                    shed_span = self.tracer.request(
-                        "request",
-                        user=u,
-                        n=int(n),
-                        backend=self.backend_name,
-                        budget_s=float(budget_s),
-                        source="recommend_many",
-                    )
-                    stamp_outcome(shed_span, outcome)
-                    shed_span.finish()
-                    outcomes[i] = outcome
-                    continue
-                ctx = RequestContext.with_budget(budget_s)
-                ctx.span = self.tracer.request(
-                    "request",
-                    user=u,
-                    n=int(n),
-                    backend=self.backend_name,
-                    budget_s=float(budget_s),
-                    source="recommend_many",
-                )
-                futures[pool.submit(serve, u, ctx, controller)] = i
-            # replint: allow-loop(future collection per request, O(batch))
-            for future, i in futures.items():
-                outcomes[i] = future.result()
-        return [o for o in outcomes if o is not None]
-
-    # ------------------------------------------------------------------
-    def _decode(self, result: RetrievalResult) -> list[Recommendation]:
-        space = self._space
-        assert space is not None
-        return self._decode_from(result, space)
-
-    def _decode_from(
-        self, result: RetrievalResult, space: ServedPairs
-    ) -> list[Recommendation]:
-        return [
-            Recommendation(event=e, partner=p, score=s)
-            for e, p, s in result.pairs(space)
-        ]
+def _decode(result: RetrievalResult, space: ServedPairs) -> list[Recommendation]:
+    """A result's pairs as recommendations, decoded against ``space``."""
+    return [
+        Recommendation(event=e, partner=p, score=s)
+        for e, p, s in result.pairs(space)
+    ]

@@ -37,6 +37,11 @@ Prediction uses per-rung EWMA latency estimates with a safety factor, so
 after one slow observation the policy routes subsequent traffic around a
 stalled rung instead of burning every request's budget rediscovering it.
 
+4. **Concurrency** — :func:`recommend_many` drives any engine's
+   ``recommend_within`` from a thread pool behind an
+   :class:`AdmissionController`: budgets start at submission, and each
+   request's trace root crosses the pool on its context.
+
 **Thread-safety:** :class:`RequestContext` instances are confined to one
 request.  :class:`LadderPolicy` and :class:`AdmissionController` are
 shared across workers and protect their mutable state with locks.  See
@@ -47,14 +52,19 @@ from __future__ import annotations
 
 import threading
 import time
-
-from repro.sanitizer import tsan_lock
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+from repro.obs.tracing import stamp_outcome
+from repro.sanitizer import tsan_lock
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.obs.tracing import Span
-    from repro.serving.engine import Recommendation
+    from repro.serving.engine import Recommendation, ServingEngine
+    from repro.serving.sharded import ShardedServingEngine
     from repro.serving.telemetry import MetricsRegistry, QueryStats
 
 __all__ = [
@@ -66,6 +76,9 @@ __all__ = [
     "SHED_DEADLINE_EXPIRED",
     "SHED_QUEUE_FULL",
     "SHED_RUNGS_EXHAUSTED",
+    "recommend_many",
+    "validate_user",
+    "validate_users",
 ]
 
 #: The degradation ladder, best rung first.  ``full`` = the engine's
@@ -299,3 +312,109 @@ class AdmissionController:
             if self._pending <= 0:
                 raise RuntimeError("release() without a matching admit")
             self._pending -= 1
+
+
+def validate_user(user: int, n_users: int) -> int:
+    """``user`` as an ``int``; ``ValueError`` outside ``[0, n_users)``."""
+    user = int(user)
+    if not 0 <= user < n_users:
+        raise ValueError(
+            f"user {user} is out of range for user_vectors with "
+            f"{n_users} rows"
+        )
+    return user
+
+
+def validate_users(users: np.ndarray, n_users: int) -> list[int]:
+    """:func:`validate_user` over a 1-d batch, all checked up front."""
+    return [
+        validate_user(u, n_users)
+        for u in np.atleast_1d(np.asarray(users, dtype=np.int64))
+    ]
+
+
+def recommend_many(
+    engine: "ServingEngine | ShardedServingEngine",
+    users: np.ndarray,
+    n: int = 10,
+    *,
+    budget_s: float = 0.05,
+    workers: int = 4,
+    queue_depth: int | None = None,
+) -> list[RequestOutcome]:
+    """Serve many deadline-scoped requests from a thread pool.
+
+    Drives ``engine.recommend_within`` for a single or a sharded engine.
+    Every user is validated before any request is admitted, so a bad id
+    fails the call without serving part of it.  Each request gets its
+    own :class:`RequestContext` whose budget starts at *submission* —
+    time spent waiting for a worker drains it, so an overloaded pool
+    degrades (and ultimately sheds) instead of silently answering late.
+    ``queue_depth`` bounds admitted-but-unfinished requests; beyond it,
+    requests are shed immediately with reason :data:`SHED_QUEUE_FULL`,
+    counted in ``engine.metrics`` (``None`` = unbounded, no admission
+    shedding).  Returns one :class:`RequestOutcome` per input user, in
+    input order — zero silent drops, by construction.  Thread-safe; the
+    pool is private to this call.
+
+    Tracing: each request's root span is opened at *submission* (via
+    :meth:`~repro.obs.tracing.Tracer.request`, the explicit cross-thread
+    spelling) and parked on its context; the worker that dequeues it
+    annotates the queue wait and finishes the root — explicit
+    propagation, no thread-local state.  Admission sheds get a root too,
+    so every submitted request appears in the flight recorder's offer
+    stream.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    user_list = validate_users(users, engine.n_users)
+    n = int(n)
+    controller = (
+        AdmissionController(queue_depth, metrics=engine.metrics)
+        if queue_depth is not None
+        else None
+    )
+    outcomes: list[RequestOutcome | None] = [None] * len(user_list)
+
+    def root(user: int) -> "Span":
+        return engine.tracer.request(
+            "request",
+            user=user,
+            n=n,
+            backend=engine.backend_name,
+            budget_s=float(budget_s),
+            source="recommend_many",
+        )
+
+    def serve(user: int, ctx: RequestContext, span: "Span") -> RequestOutcome:
+        try:
+            span.annotate("queue.wait", ctx.mark_dequeued())
+            return engine.recommend_within(user, n, ctx=ctx)
+        finally:
+            span.finish()
+            if controller is not None:
+                controller.release()
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures: dict[Future[RequestOutcome], int] = {}
+        # replint: allow-loop(admission/submission per request, O(batch))
+        for i, user in enumerate(user_list):
+            if controller is not None and not controller.try_admit():
+                outcome = RequestOutcome(
+                    user=user,
+                    n=n,
+                    answered=False,
+                    shed_reason=SHED_QUEUE_FULL,
+                )
+                shed_span = root(user)
+                stamp_outcome(shed_span, outcome)
+                shed_span.finish()
+                outcomes[i] = outcome
+                continue
+            ctx = RequestContext.with_budget(budget_s)
+            ctx.span = root(user)
+            futures[pool.submit(serve, user, ctx, ctx.span)] = i
+        # replint: allow-loop(future collection per request, O(batch))
+        for future, i in futures.items():
+            outcomes[i] = future.result()
+    return [o for o in outcomes if o is not None]

@@ -56,11 +56,13 @@ silent drops, with per-shard detail preserved in each shard's own
 :class:`~repro.serving.telemetry.MetricsRegistry`.
 
 **Thread-safety:** mirrors :class:`ServingEngine` — queries may run
-concurrently from any number of threads; maintenance (:meth:`warm`,
-:meth:`warm_ladder`, :meth:`rebuild`, :meth:`refresh`) is serialised
-against itself but not against in-flight queries.  Fan-out uses a
-persistent internal thread pool; call :meth:`close` (or use the engine
-as a context manager) when discarding the engine.
+concurrently from any number of threads and with maintenance
+(:meth:`warm`, :meth:`warm_ladder`, :meth:`rebuild`, :meth:`refresh`),
+which is serialised against itself.  The fleet publishes the tuple of
+its shards' snapshots, with the index-map constants, as one object;
+a fan-out loads it once, so its legs never mix shard versions.
+Fan-out uses a persistent internal thread pool; call :meth:`close` (or
+use the engine as a context manager) when discarding the engine.
 """
 
 from __future__ import annotations
@@ -68,26 +70,29 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from repro.obs.tracing import NULL_TRACER, Tracer, stamp_outcome
 from repro.online.ta import RetrievalResult
 from repro.sanitizer import tsan_lock
-from repro.serving.backends import create_backend
-from repro.serving.engine import Recommendation, ServingEngine
+from repro.serving.engine import IndexSnapshot, Recommendation, ServingEngine
 from repro.serving.lifecycle import (
     RUNGS,
-    AdmissionController,
     LadderPolicy,
     RequestContext,
     RequestOutcome,
+    validate_user,
+    validate_users,
 )
 from repro.serving.telemetry import MetricsRegistry, QueryStats, _Timer
 
 __all__ = ["ShardedServingEngine", "merge_sharded_topn"]
+
+T = TypeVar("T")
 
 
 @dataclass(slots=True)
@@ -170,6 +175,28 @@ def merge_sharded_topn(
     )
 
 
+@dataclass(frozen=True, slots=True)
+class _FleetSnapshot:
+    """One published version of the whole fleet.
+
+    The shard snapshots are taken together with the constants the
+    local -> global index map needs, so a fan-out that loads this once
+    answers every leg from one version and maps keys consistently.
+    """
+
+    shards: tuple[IndexSnapshot, ...]
+    built_events: int
+    built_k: int | None
+
+    @property
+    def version(self) -> int:
+        return self.shards[0].version
+
+    @property
+    def n_candidates(self) -> int:
+        return sum(s.space.n_pairs for s in self.shards if s.space is not None)
+
+
 class ShardedServingEngine:
     """N per-shard :class:`ServingEngine`\\ s behind one exact interface.
 
@@ -196,8 +223,8 @@ class ShardedServingEngine:
     version and :meth:`refresh` / :meth:`rebuild` clear the map.  ``tracer`` traces at the fan-out layer:
     one root per request with a ``shard`` child per fan-out leg — shard
     engines keep the disabled default, and their rung attempts still
-    appear because the fan-out parks each shard child span on the child
-    :class:`~repro.serving.lifecycle.RequestContext` it hands down.
+    appear because each leg walks its shard's ladder under its
+    ``shard`` child span.
 
     **Thread-safety:** same contract as :class:`ServingEngine` (see the
     module docstring); :meth:`close` the engine when done to release the
@@ -238,12 +265,9 @@ class ShardedServingEngine:
         self.backend_name = backend
         self.top_k_events = top_k_events
         self.candidate_partners = candidate_partners
-        self.candidate_events = np.asarray(candidate_events, dtype=np.int64)  # replint: guarded-by(_build_lock)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._prunes_by_default = bool(
-            getattr(create_backend(backend), "prunes_by_default", False)
-        )
+        self._label = f"sharded[{self.n_shards}]:{backend}"
         slices = np.array_split(candidate_partners, n_shards)
         self._sizes = [int(s.size) for s in slices]
         self._offsets = [
@@ -253,7 +277,7 @@ class ShardedServingEngine:
             ServingEngine(
                 user_vectors,
                 event_vectors,
-                self.candidate_events,
+                candidate_events,
                 candidate_partners=part,
                 top_k_events=top_k_events,
                 backend=backend,
@@ -273,8 +297,10 @@ class ShardedServingEngine:
         self.merged_cache_size = int(merged_cache_size)
         self._merged_lock = tsan_lock(threading.Lock(), "_merged_lock")
         self._merged: OrderedDict[tuple, _MergedEntry] = OrderedDict()  # replint: guarded-by(_merged_lock)
-        self._built_events: int | None = None  # replint: guarded-by(_build_lock)
-        self._built_k: int | None = None  # replint: guarded-by(_build_lock)
+        # The publication point, as on ServingEngine: read without a
+        # lock, stored only under _build_lock once every shard's next
+        # snapshot is complete.
+        self._snap = self._fleet_snapshot(remap=True)
         self._build_lock = tsan_lock(threading.RLock(), "_build_lock")
         self._pool = ThreadPoolExecutor(
             max_workers=self.n_shards, thread_name_prefix="shard-fanout"
@@ -291,7 +317,12 @@ class ShardedServingEngine:
     @property
     def version(self) -> int:
         """The embedding version currently served (all shards agree)."""
-        return self._shards[0].version
+        return self._snap.version
+
+    @property
+    def candidate_events(self) -> np.ndarray:
+        """Global ids of the events currently served."""
+        return self._snap.shards[0].candidate_events
 
     @property
     def n_users(self) -> int:
@@ -302,11 +333,10 @@ class ShardedServingEngine:
     def n_events(self) -> int:
         """Rows of the event embedding matrix (all shards agree).
 
-        Part of the ``fold_into_engine``/:class:`~repro.serving.
-        streaming.DoubleBufferedEngine` refresh contract: the next free
+        Part of the ``fold_into_engine`` refresh contract: the next free
         global event id is ``n_events``.
         """
-        return self._shards[0].n_events
+        return int(self._snap.shards[0].event_vectors.shape[0])
 
     def index_age_s(self) -> float:
         """Staleness age of the most-lagged shard index (-1 unbuilt).
@@ -322,8 +352,7 @@ class ShardedServingEngine:
     @property
     def n_candidate_pairs(self) -> int:
         """Total candidate pairs across all shard indices (builds them)."""
-        self.warm()
-        return sum(sh.n_candidate_pairs for sh in self._shards)
+        return self._built().n_candidates
 
     def memory_bytes(self) -> int:
         """Summed resident index bytes across shards."""
@@ -355,18 +384,31 @@ class ShardedServingEngine:
 
     # ------------------------------------------------------------------
     # offline: build / refresh
-    def _effective_k(self) -> int | None:
-        """The pruning level every shard builds with (engine parity)."""
-        if self.top_k_events is not None:
-            return self.top_k_events
-        if self._prunes_by_default:
-            from repro.serving.engine import DEFAULT_PRUNED_FRACTION
+    def _fleet_snapshot(self, *, remap: bool) -> _FleetSnapshot:
+        """The shards' current snapshots as one fleet snapshot.
 
-            return max(
-                1,
-                int(round(DEFAULT_PRUNED_FRACTION * self.candidate_events.size)),
-            )
-        return None
+        ``remap`` takes the index-map constants from the shards' build;
+        otherwise the published ones are kept (a refresh appends pairs
+        after them).
+        """
+        shard_snaps = tuple(sh.snapshot for sh in self._shards)
+        if not remap:
+            return replace(self._snap, shards=shard_snaps)
+        n_events = int(shard_snaps[0].candidate_events.size)
+        return _FleetSnapshot(
+            shard_snaps, n_events, self._shards[0]._effective_top_k(n_events)
+        )
+
+    def _built(self) -> _FleetSnapshot:
+        """The published fleet snapshot, building every shard first if needed."""
+        snap = self._snap
+        if snap.shards[0].space is None:
+            with self._build_lock:
+                snap = self._snap
+                if snap.shards[0].space is None:
+                    list(self._pool.map(lambda sh: sh.warm(), self._shards))
+                    snap = self._snap = self._fleet_snapshot(remap=True)
+        return snap
 
     def warm(self) -> "ShardedServingEngine":
         """Build every shard index now (otherwise first query pays it).
@@ -375,31 +417,28 @@ class ShardedServingEngine:
         snapshots the candidate-event count and pruning level at build
         time — the constants the local -> global index map needs.
         """
-        with self._build_lock:
-            if self._built_events is None:
-                list(self._pool.map(lambda sh: sh.warm(), self._shards))
-                self._built_events = int(self.candidate_events.size)
-                self._built_k = self._effective_k()
+        self._built()
         return self
 
     def warm_ladder(self) -> "ShardedServingEngine":
         """Warm every degradation rung on every shard (see engine docs)."""
-        self.warm()
+        self._built()
         with self._build_lock:
             list(self._pool.map(lambda sh: sh.warm_ladder(), self._shards))
+            self._snap = self._fleet_snapshot(remap=False)
         return self
 
     def rebuild(self) -> None:
         """Cold-rebuild every shard under a new version.
 
-        Same contract as :meth:`ServingEngine.rebuild` (not linearisable
-        with in-flight queries); re-snapshots the index-map constants.
+        Same contract as :meth:`ServingEngine.rebuild`; the fleet
+        publishes the rebuilt shards (and re-read index-map constants)
+        together.
         """
         with self._build_lock:
-            self._clear_merged_cache()
             list(self._pool.map(lambda sh: sh.rebuild(), self._shards))
-            self._built_events = int(self.candidate_events.size)
-            self._built_k = self._effective_k()
+            self._snap = self._fleet_snapshot(remap=True)
+            self._clear_merged_cache()
 
     def refresh(
         self,
@@ -411,42 +450,44 @@ class ShardedServingEngine:
         All shards receive the same ids in the same order, so the
         appended event-major blocks stay aligned across shards and the
         exact merge keeps working (the appended-segment key formula).
-        Returns the number of events added (identical on every shard).
-        Not linearisable with in-flight queries — serve through a
-        :class:`repro.serving.streaming.DoubleBufferedEngine` for
-        zero-downtime folds.
+        The refreshed shards are published together, so a concurrent
+        fan-out sees every shard old or every shard new.  Returns the
+        number of events added (identical on every shard).
         """
         with self._build_lock:
-            self._clear_merged_cache()
             added = [
                 sh.refresh(new_event_ids, new_event_vectors)
                 for sh in self._shards
             ]
             if len(set(added)) != 1:  # pragma: no cover - defensive
                 raise RuntimeError(f"shards diverged during refresh: {added}")
-            self.candidate_events = self._shards[0].candidate_events
+            if added[0]:
+                self._snap = self._fleet_snapshot(remap=False)
+                self._clear_merged_cache()
             return added[0]
 
     # ------------------------------------------------------------------
     # the merged-answer cache
-    def _merged_get(self, user: int, n: int) -> _MergedEntry | None:
-        """Cache lookup for the merged answer of ``(user, n)``.
+    def _merged_get(self, version: int, user: int, n: int) -> _MergedEntry | None:
+        """Cache lookup for the merged answer of ``(user, n)`` at ``version``.
 
-        Keys include the served version, so an entry can never be
-        returned across a version bump; :meth:`refresh` / :meth:`rebuild`
+        Keys include the version, so an entry can never be returned
+        across a version bump; :meth:`refresh` / :meth:`rebuild`
         additionally clear the map so dead-version entries do not linger
         until LRU eviction.  Thread-safe.
         """
         if self.merged_cache_size == 0:
             return None
-        key = (self.version, int(user), int(n))
+        key = (version, int(user), int(n))
         with self._merged_lock:
             entry = self._merged.get(key)
             if entry is not None:
                 self._merged.move_to_end(key)
             return entry
 
-    def _merged_put(self, user: int, n: int, entry: _MergedEntry) -> None:
+    def _merged_put(
+        self, version: int, user: int, n: int, entry: _MergedEntry
+    ) -> None:
         """Store one *exact* merged answer (thread-safe, LRU-bounded).
 
         A keyed entry (from the exact-merge path) is never downgraded to
@@ -455,7 +496,7 @@ class ShardedServingEngine:
         """
         if self.merged_cache_size == 0:
             return
-        key = (self.version, int(user), int(n))
+        key = (version, int(user), int(n))
         with self._merged_lock:
             prior = self._merged.get(key)
             if prior is not None and prior.keys is not None and entry.keys is None:
@@ -472,23 +513,21 @@ class ShardedServingEngine:
 
     # ------------------------------------------------------------------
     # the local -> global index map
-    def _global_keys(self, shard: int, local_idx: np.ndarray) -> np.ndarray:
+    def _global_keys(
+        self, snap: _FleetSnapshot, shard: int, local_idx: np.ndarray
+    ) -> np.ndarray:
         """Map a shard's local pair indices to global pair indices.
 
         Piecewise by segment (see the module docstring): the initial
         build segment is event-major (unpruned) or partner-major
         (pruned); every refresh appends event-major blocks.  The map is
         strictly increasing in ``local_idx``, which is what makes the
-        per-shard sort order the restriction of the global one.
+        per-shard sort order the restriction of the global one.  The
+        build-time constants come from ``snap``, the same snapshot the
+        local indices were answered from.
         """
-        self.warm()
-        # Snapshot the build-time constants under the build lock: a
-        # concurrent rebuild/refresh rewrites them, and a torn pair
-        # (old count, new k) would silently mis-map indices.
-        with self._build_lock:
-            k = self._built_k
-            e0 = self._built_events
-        assert e0 is not None
+        k = snap.built_k
+        e0 = snap.built_events
         local = np.asarray(local_idx, dtype=np.int64)
         off = self._offsets[shard]
         p_s = self._sizes[shard]
@@ -509,13 +548,17 @@ class ShardedServingEngine:
             np.int64
         )
 
-    def _shard_list(self, shard: int, result: RetrievalResult) -> _ShardList:
+    def _shard_list(
+        self, snap: _FleetSnapshot, shard: int, result: RetrievalResult
+    ) -> _ShardList:
         """Package one shard's result for the merge (keys + ids)."""
         idx = result.pair_indices
-        events, partners = self._shards[shard].space.pair_ids(idx)
+        space = snap.shards[shard].space
+        assert space is not None
+        events, partners = space.pair_ids(idx)
         return _ShardList(
             scores=np.asarray(result.scores, dtype=np.float64),
-            keys=self._global_keys(shard, idx),
+            keys=self._global_keys(snap, shard, idx),
             event_ids=np.asarray(events, dtype=np.int64),
             partner_ids=np.asarray(partners, dtype=np.int64),
         )
@@ -552,19 +595,18 @@ class ShardedServingEngine:
         at all (``cache_hit=True`` in the aggregate stats; shard
         registries see nothing, which is the point).
         """
-        self.warm()
+        user = validate_user(user, self.n_users)
         n = int(n)
+        snap = self._built()
         with _Timer() as lookup:
-            cached = self._merged_get(int(user), n)
+            cached = self._merged_get(snap.version, user, n)
         if cached is not None and cached.keys is not None:
             stats = QueryStats(
-                user=int(user),
+                user=user,
                 n=n,
-                backend=f"sharded[{self.n_shards}]:{self.backend_name}",
-                version=self.version,
-                n_candidates=sum(
-                    sh.n_candidate_pairs for sh in self._shards
-                ),
+                backend=self._label,
+                version=snap.version,
+                n_candidates=snap.n_candidates,
                 n_examined=0,
                 n_sorted_accesses=0,
                 fraction_examined=0.0,
@@ -581,31 +623,27 @@ class ShardedServingEngine:
                 stats,
             )
         with self.tracer.start(
-            "engine.query",
-            user=int(user),
-            n=n,
-            backend=f"sharded[{self.n_shards}]:{self.backend_name}",
+            "engine.query", user=user, n=n, backend=self._label
         ) as root, _Timer() as total:
 
-            def q_shard(item: tuple[int, ServingEngine]) -> RetrievalResult:
-                idx, sh = item
-                with root.child("shard", shard=idx):
-                    return sh.query(user, n)
+            def q_shard(i: int) -> RetrievalResult:
+                with root.child("shard", shard=i):
+                    return self._shards[i]._query(snap.shards[i], user, n)
 
-            results = self._fan_out_indexed(q_shard)
+            results = self._fan_out(q_shard)
             with root.child("merge"):
                 merged = merge_sharded_topn(
-                    [self._shard_list(s, r) for s, r in enumerate(results)],
+                    [self._shard_list(snap, s, r) for s, r in enumerate(results)],
                     n,
                 )
         scores, keys, events, partners = merged
-        n_cand = sum(sh.n_candidate_pairs for sh in self._shards)
+        n_cand = snap.n_candidates
         n_exam = sum(r.n_examined for r in results)
         stats = QueryStats(
-            user=int(user),
+            user=user,
             n=n,
-            backend=f"sharded[{self.n_shards}]:{self.backend_name}",
-            version=self.version,
+            backend=self._label,
+            version=snap.version,
             n_candidates=n_cand,
             n_examined=n_exam,
             n_sorted_accesses=sum(r.n_sorted_accesses for r in results),
@@ -616,7 +654,8 @@ class ShardedServingEngine:
         self.metrics.record(stats)
         if stats.exact:
             self._merged_put(
-                int(user),
+                snap.version,
+                user,
                 n,
                 _MergedEntry(
                     scores=scores,
@@ -633,10 +672,7 @@ class ShardedServingEngine:
         Bit-exact against the single-index engine; thread-safe.
         """
         scores, _keys, events, partners, _stats = self._query_merged(user, n)
-        return [
-            Recommendation(event=int(e), partner=int(p), score=float(s))
-            for e, p, s in zip(events, partners, scores, strict=True)
-        ]
+        return _recommendations(events, partners, scores)
 
     def recommend_batch(
         self, users: np.ndarray, n: int = 10
@@ -645,26 +681,23 @@ class ShardedServingEngine:
 
         Identical to calling :meth:`recommend` per user; thread-safe.
         """
-        self.warm()
         n = int(n)
-        user_arr = np.atleast_1d(np.asarray(users, dtype=np.int64))
-        per_shard = self._fan_out(lambda sh: sh.query_batch(user_arr, n))
+        user_list = validate_users(users, self.n_users)
+        snap = self._built()
+        per_shard = self._fan_out(
+            lambda i: self._shards[i]._query_batch(snap.shards[i], user_list, n)
+        )
         out: list[list[Recommendation]] = []
         # replint: allow-loop(per-user merge over the requested batch, not candidates)
-        for i in range(user_arr.size):
+        for i in range(len(user_list)):
             scores, _keys, events, partners = merge_sharded_topn(
                 [
-                    self._shard_list(s, shard_res[i])
+                    self._shard_list(snap, s, shard_res[i])
                     for s, shard_res in enumerate(per_shard)
                 ],
                 n,
             )
-            out.append(
-                [
-                    Recommendation(event=int(e), partner=int(p), score=float(sc))
-                    for e, p, sc in zip(events, partners, scores, strict=True)
-                ]
-            )
+            out.append(_recommendations(events, partners, scores))
         return out
 
     # ------------------------------------------------------------------
@@ -683,6 +716,7 @@ class ShardedServingEngine:
         admission timestamp** — budgets drain in lockstep, so a request
         that queued for 40 ms of a 50 ms budget has 10 ms on every
         shard, and each shard's ladder degrades independently within it.
+        Every leg answers from the same published fleet snapshot.
         The aggregate outcome answers only when every shard answered
         (rung = worst shard rung, ``exact`` = all shards exact,
         ``stale`` = any shard stale) and sheds with the first shedding
@@ -692,9 +726,9 @@ class ShardedServingEngine:
         ``full`` rung with sorted candidate ids.  Thread-safe.
 
         Tracing: a root parked on ``ctx.span`` (by
-        :meth:`recommend_many`) is adopted, otherwise one is opened
-        here; each fan-out leg runs under a ``shard`` child span that is
-        handed down on the child context, so a flight-recorder dump
+        :func:`~repro.serving.lifecycle.recommend_many`) is adopted,
+        otherwise one is opened here; each fan-out leg walks its shard's
+        ladder under a ``shard`` child span, so a flight-recorder dump
         shows which shard's rung walk consumed the budget.
         """
         if (budget_s is None) == (ctx is None):
@@ -702,9 +736,9 @@ class ShardedServingEngine:
         if ctx is None:
             assert budget_s is not None
             ctx = RequestContext.with_budget(budget_s)
-        self.warm()
+        user = validate_user(user, self.n_users)
         n = int(n)
-        user = int(user)
+        snap = self._built()
         parent = ctx
         root = ctx.span
         owns_root = root is None
@@ -713,31 +747,29 @@ class ShardedServingEngine:
                 "request",
                 user=user,
                 n=n,
-                backend=f"sharded[{self.n_shards}]:{self.backend_name}",
+                backend=self._label,
                 budget_s=ctx.budget_s,
             )
             ctx.span = root
 
-        def serve_shard(item: tuple[int, ServingEngine]) -> RequestOutcome:
-            idx, sh = item
+        def serve_shard(i: int) -> RequestOutcome:
             child = RequestContext(parent.budget_s, start=parent.start)
-            with root.child("shard", shard=idx) as shard_span:
-                child.span = shard_span
-                return sh.recommend_within(user, n, ctx=child)
+            with root.child("shard", shard=i) as shard_span:
+                return self._shards[i]._serve_within(
+                    snap.shards[i], user, n, child, shard_span
+                )
 
         try:
-            cached = self._merged_get(user, n)
+            cached = self._merged_get(snap.version, user, n)
             if cached is not None:
                 # A version-current merged answer is exact and free — no
                 # fan-out, no shard-ladder walk, whatever the budget.
                 stats = QueryStats(
                     user=user,
                     n=n,
-                    backend=f"sharded[{self.n_shards}]:{self.backend_name}",
-                    version=self.version,
-                    n_candidates=sum(
-                        sh.n_candidate_pairs for sh in self._shards
-                    ),
+                    backend=self._label,
+                    version=snap.version,
+                    n_candidates=snap.n_candidates,
                     n_examined=0,
                     n_sorted_accesses=0,
                     fraction_examined=0.0,
@@ -755,22 +787,14 @@ class ShardedServingEngine:
                     user=user,
                     n=n,
                     answered=True,
-                    recommendations=[
-                        Recommendation(
-                            event=int(e), partner=int(p), score=float(s)
-                        )
-                        for e, p, s in zip(
-                            cached.event_ids,
-                            cached.partner_ids,
-                            cached.scores,
-                            strict=True,
-                        )
-                    ],
+                    recommendations=_recommendations(
+                        cached.event_ids, cached.partner_ids, cached.scores
+                    ),
                     stats=stats,
                 )
                 stamp_outcome(root, outcome)
                 return outcome
-            outcomes = self._fan_out_indexed(serve_shard)
+            outcomes = self._fan_out(serve_shard)
             shed = [o for o in outcomes if not o.answered]
             if shed:
                 reason = shed[0].shed_reason
@@ -792,8 +816,8 @@ class ShardedServingEngine:
             stats = QueryStats(
                 user=user,
                 n=n,
-                backend=f"sharded[{self.n_shards}]:{self.backend_name}",
-                version=self.version,
+                backend=self._label,
+                version=snap.version,
                 n_candidates=n_cand,
                 n_examined=n_exam,
                 n_sorted_accesses=sum(s.n_sorted_accesses for s in stats_list),
@@ -811,6 +835,7 @@ class ShardedServingEngine:
             self.metrics.record(stats)
             if stats.exact:
                 self._merged_put(
+                    snap.version,
                     user,
                     n,
                     _MergedEntry(
@@ -839,97 +864,10 @@ class ShardedServingEngine:
             if owns_root:
                 root.finish()
 
-    def recommend_many(
-        self,
-        users: np.ndarray,
-        n: int = 10,
-        *,
-        budget_s: float = 0.05,
-        workers: int = 4,
-        queue_depth: int | None = None,
-    ) -> list[RequestOutcome]:
-        """Deadline-scoped concurrent serving across shards.
-
-        Mirrors :meth:`ServingEngine.recommend_many`: budgets start at
-        submission, ``queue_depth`` bounds admitted-but-unfinished
-        requests (beyond it requests shed with ``queue_full`` in the
-        aggregate registry), and exactly one outcome per input user is
-        returned in input order — zero silent drops.  Thread-safe; the
-        outer pool is private to this call, the shard fan-out shares the
-        engine's persistent pool.
-        """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        user_list = [
-            int(u) for u in np.atleast_1d(np.asarray(users, dtype=np.int64))
-        ]
-        self.warm()
-        controller = (
-            AdmissionController(queue_depth, metrics=self.metrics)
-            if queue_depth is not None
-            else None
-        )
-        outcomes: list[RequestOutcome | None] = [None] * len(user_list)
-
-        def serve(
-            u: int, ctx: RequestContext, admitted: AdmissionController | None
-        ) -> RequestOutcome:
-            span = ctx.span
-            try:
-                wait_s = ctx.mark_dequeued()
-                if span is not None:
-                    span.annotate("queue.wait", wait_s)
-                return self.recommend_within(u, n, ctx=ctx)
-            finally:
-                if span is not None:
-                    span.finish()
-                if admitted is not None:
-                    admitted.release()
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures: dict[Future[RequestOutcome], int] = {}
-            # replint: allow-loop(admission/submission per request, O(batch))
-            for i, u in enumerate(user_list):
-                if controller is not None and not controller.try_admit():
-                    outcome = RequestOutcome(
-                        user=u,
-                        n=int(n),
-                        answered=False,
-                        shed_reason="queue_full",
-                    )
-                    shed_span = self.tracer.request(
-                        "request",
-                        user=u,
-                        n=int(n),
-                        backend=(
-                            f"sharded[{self.n_shards}]:{self.backend_name}"
-                        ),
-                        budget_s=float(budget_s),
-                        source="recommend_many",
-                    )
-                    stamp_outcome(shed_span, outcome)
-                    shed_span.finish()
-                    outcomes[i] = outcome
-                    continue
-                ctx = RequestContext.with_budget(budget_s)
-                ctx.span = self.tracer.request(
-                    "request",
-                    user=u,
-                    n=int(n),
-                    backend=f"sharded[{self.n_shards}]:{self.backend_name}",
-                    budget_s=float(budget_s),
-                    source="recommend_many",
-                )
-                futures[pool.submit(serve, u, ctx, controller)] = i
-            # replint: allow-loop(future collection per request, O(batch))
-            for future, i in futures.items():
-                outcomes[i] = future.result()
-        return [o for o in outcomes if o is not None]
-
     # ------------------------------------------------------------------
     # internals
-    def _fan_out(self, fn: "object") -> list:
-        """Run ``fn(shard_engine)`` on every shard via the engine pool.
+    def _fan_out(self, fn: Callable[[int], T]) -> list[T]:
+        """Run ``fn(shard_index)`` for every shard via the engine pool.
 
         Results come back in shard order; with one shard the call is
         inlined (no pool hop).  Exceptions propagate to the caller.
@@ -937,23 +875,8 @@ class ShardedServingEngine:
         if self._closed:
             raise RuntimeError("engine is closed")
         if self.n_shards == 1:
-            return [fn(self._shards[0])]  # type: ignore[operator]
-        return list(self._pool.map(fn, self._shards))  # type: ignore[arg-type]
-
-    def _fan_out_indexed(self, fn: "object") -> list:
-        """Like :meth:`_fan_out`, but ``fn`` receives ``(index, engine)``.
-
-        The traced fan-out paths use the shard index to label each leg's
-        ``shard`` child span; same pool, ordering, and inline-for-one
-        behaviour as :meth:`_fan_out`.
-        """
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        if self.n_shards == 1:
-            return [fn((0, self._shards[0]))]  # type: ignore[operator]
-        return list(  # type: ignore[arg-type]
-            self._pool.map(fn, list(enumerate(self._shards)))
-        )
+            return [fn(0)]
+        return list(self._pool.map(fn, range(self.n_shards)))
 
     @staticmethod
     def _merge_outcomes(
@@ -970,3 +893,13 @@ class ShardedServingEngine:
         merged = [r for o in outcomes for r in o.recommendations]
         merged.sort(key=lambda r: (-r.score, r.event, r.partner))
         return merged[:n]
+
+
+def _recommendations(
+    events: np.ndarray, partners: np.ndarray, scores: np.ndarray
+) -> list[Recommendation]:
+    """Aligned id and score arrays as recommendations."""
+    return [
+        Recommendation(event=int(e), partner=int(p), score=float(s))
+        for e, p, s in zip(events, partners, scores, strict=True)
+    ]

@@ -1,37 +1,29 @@
-"""Streaming ingestion: zero-downtime fold-in behind a double-buffered swap.
+"""Streaming ingestion: fold post-training arrivals into a live engine.
 
 The paper's Section IV fold-in answers cold-start for *one* new event;
 a live EBSN sees a continuous arrival stream and must make new events
 recommendable **while queries are in flight**.  The building blocks
 exist elsewhere — :meth:`repro.core.fold_in.EventFoldIn.fold_in_many`
 learns vectors against frozen attribute embeddings, and both engines
-grow incrementally via ``refresh()`` — but ``refresh()`` mutates the
-served index in place and is explicitly *not* linearisable with
-concurrent queries.  This module closes that gap:
-
-* :class:`DoubleBufferedEngine` fronts **two** identically-configured
-  engine replicas.  Queries are served from the *active* replica; folds
-  are applied to the *shadow* replica off the query path, and
-  publication is a **single reference flip** — a reader pins a replica
-  before querying and always observes a complete, version-stamped
-  index (old or new, never a half-refreshed one).  Readers never block
-  on a rebuild; the maintenance thread is the only party that waits
-  (it quiesces the retired replica's stragglers before mutating it).
+grow incrementally via ``refresh()``, which builds the next index
+snapshot beside the served one and publishes it with one attribute
+store (old or new, never a mixture; DESIGN.md §11).  This module adds
+the maintenance side:
 
 * :class:`FoldInPump` is the background maintenance thread: it batches
-  arrivals from :meth:`offer`, learns their vectors, drives the front's
-  shadow-refresh-and-flip, and records per-version staleness telemetry
+  arrivals from :meth:`~FoldInPump.offer`, learns their vectors, calls
+  the engine's ``refresh`` and records per-version staleness telemetry
   (events visible vs. arrived, fold-in lag percentiles) — every batch
   traced as a ``foldin.*`` span tree.  Every offered arrival ends
   visible, retrying, or in an explicit ``dropped`` counter — zero
   silent drops, mirroring the request-side outcome discipline.
 
+* :class:`DoubleBufferedEngine` is a thin front over one engine: it
+  serves and folds through ``primary`` and never builds ``shadow``.
+
 Fault injection applies at the ``foldin.apply`` site (see
-:mod:`repro.serving.faults`); a replica whose readers refuse to drain
-raises :class:`SwapWedgedError` (runbook: docs/OPERATIONS.md §10).
-Semantics — swap atomicity, the staleness definition, and what
-``refresh()`` vs. the shadow swap each guarantee — are specified in
-DESIGN.md §11.
+:mod:`repro.serving.faults`).  Tuning and recovery:
+docs/OPERATIONS.md §10.
 """
 
 from __future__ import annotations
@@ -53,16 +45,17 @@ from repro.serving.telemetry import MetricsRegistry, percentile
 if TYPE_CHECKING:
     from repro.core.fold_in import FoldInConfig, NewEventDescription
     from repro.data.synthetic import EventArrival
-    from repro.online.ta import RetrievalResult
-    from repro.serving.engine import Recommendation
-    from repro.serving.lifecycle import LadderPolicy, RequestContext, RequestOutcome
+    from repro.serving.engine import ServingEngine
+    from repro.serving.lifecycle import RequestContext, RequestOutcome
+    from repro.serving.sharded import ShardedServingEngine
 
 
-class ServedIndex(Protocol):
-    """Structural interface a double-buffered replica must satisfy.
+class Refreshable(Protocol):
+    """What the pump folds into: any engine with the refresh contract.
 
-    Both :class:`repro.serving.engine.ServingEngine` and
-    :class:`repro.serving.sharded.ShardedServingEngine` match it.
+    :class:`~repro.serving.engine.ServingEngine`,
+    :class:`~repro.serving.sharded.ShardedServingEngine` and
+    :class:`DoubleBufferedEngine` match it.
     """
 
     @property
@@ -71,29 +64,8 @@ class ServedIndex(Protocol):
         ...
 
     @property
-    def n_users(self) -> int:
-        """Rows of the user embedding matrix."""
-        ...
-
-    @property
     def n_events(self) -> int:
-        """Rows of the event embedding matrix."""
-        ...
-
-    def warm(self) -> object:
-        """Build the primary index now."""
-        ...
-
-    def warm_ladder(self) -> object:
-        """Warm every degradation rung."""
-        ...
-
-    def memory_bytes(self) -> int:
-        """Resident bytes of the built index."""
-        ...
-
-    def index_age_s(self) -> float:
-        """Seconds since last build/refresh (-1 before the first)."""
+        """Rows of the event embedding matrix (the next free event id)."""
         ...
 
     def refresh(
@@ -102,38 +74,6 @@ class ServedIndex(Protocol):
         new_event_vectors: np.ndarray | None = None,
     ) -> int:
         """Fold new events into the served candidate space."""
-        ...
-
-    def query(self, user: int, n: int) -> "RetrievalResult":
-        """Exact top-n retrieval."""
-        ...
-
-    def recommend(self, user: int, n: int = 10) -> "list[Recommendation]":
-        """Exact top-n recommendations."""
-        ...
-
-    # replint: allow(REP010): protocol stub, implementations are checked
-    def recommend_within(
-        self,
-        user: int,
-        n: int = 10,
-        *,
-        budget_s: float | None = None,
-        ctx: "RequestContext | None" = None,
-    ) -> "RequestOutcome":
-        """Deadline-scoped serving via the degradation ladder."""
-        ...
-
-    def recommend_many(
-        self,
-        users: np.ndarray,
-        n: int = 10,
-        *,
-        budget_s: float = 0.05,
-        workers: int = 4,
-        queue_depth: int | None = None,
-    ) -> "list[RequestOutcome]":
-        """Concurrent deadline-scoped serving."""
         ...
 
 
@@ -152,112 +92,20 @@ class Folder(Protocol):
         ...
 
 
-class SwapWedgedError(RuntimeError):
-    """The retired replica's readers failed to drain within the timeout.
-
-    Raised by :meth:`DoubleBufferedEngine.refresh` when a query pinned
-    the replica about to be mutated and did not finish within
-    ``quiesce_timeout_s`` — typically a reader stuck behind an injected
-    stall or a budget far above the fold-in cadence.  The fold is not
-    applied; the pump counts the failure and retries.  Recovery steps:
-    docs/OPERATIONS.md §10.
-    """
-
-
-class _ReaderGate:
-    """Counts in-flight readers of one replica.
-
-    ``enter``/``exit`` bracket a query (a tiny counter update under a
-    lock held for nanoseconds — readers never wait on maintenance);
-    ``quiesce`` is the maintenance side, polling until the count drains
-    to zero.
-    """
-
-    def __init__(self) -> None:
-        self._lock = tsan_lock(threading.Lock(), "_lock")
-        self._readers = 0  # replint: guarded-by(_lock)
-
-    def enter(self) -> None:
-        """Register one in-flight reader."""
-        with self._lock:
-            self._readers += 1
-
-    def exit(self) -> None:
-        """Unregister one reader (must pair an :meth:`enter`)."""
-        with self._lock:
-            self._readers -= 1
-
-    def readers(self) -> int:
-        """The number of currently pinned readers."""
-        with self._lock:
-            return self._readers
-
-    def quiesce(self, timeout_s: float) -> bool:
-        """Wait (bounded) until no reader is pinned; True on success."""
-        deadline = time.monotonic() + timeout_s
-        while True:  # replint: allow-loop(bounded poll for reader drain)
-            with self._lock:
-                if self._readers == 0:
-                    return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.0005)
-
-
-class _Buffer:
-    """One side of the double buffer: an engine replica plus its gate."""
-
-    __slots__ = ("engine", "gate", "applied")
-
-    def __init__(self, engine: ServedIndex) -> None:
-        self.engine = engine
-        self.gate = _ReaderGate()
-        # Absolute count of fold batches applied to this replica; read
-        # and written only under the front's _swap_lock.
-        self.applied = 0
-
-
 class DoubleBufferedEngine:
-    """Zero-downtime serving over two identically-built engine replicas.
+    """A front that serves and folds through ``primary``.
 
-    Construction takes two engines built from the **same** vectors and
-    configuration (same version, user and event counts — validated).
-    One replica is *active* and serves every query; the other is the
-    *shadow*.  :meth:`refresh` applies the fold to the shadow, then
-    publishes it by flipping one attribute reference — the swap the
-    streaming layer promises is atomic:
-
-    * **Readers never block on a rebuild.**  A query pins the active
-      replica through a reader gate (two tiny counter updates), runs
-      entirely on that replica, and unpins.  The gate's lock is never
-      held across index work.
-    * **Old-or-new, never half.**  The replica being refreshed is never
-      the one readers can newly pin, and the maintenance path waits for
-      stragglers (readers that pinned the replica before it was retired
-      by the *previous* flip) to drain before mutating it.  Every query
-      therefore observes a complete index at a single version stamp.
-    * **Single writer.**  ``refresh`` is serialised on ``_swap_lock``;
-      drive it from one maintenance thread (the :class:`FoldInPump`).
-      ``fold_into_engine`` reads ``n_events`` before calling
-      ``refresh``, so concurrent writers could race id assignment.
-
-    Both replicas should share one :class:`MetricsRegistry`, one
-    :class:`LadderPolicy` and one :class:`Tracer` so telemetry and rung
-    estimates are continuous across flips (the harness and tests do).
-    The memory cost is the classic double-buffering trade: two resident
-    indices buy constant read availability.
-
-    Satisfies the ``fold_into_engine`` refresh contract, so
-    :meth:`repro.core.fold_in.EventFoldIn.fold_into_engine` can target
-    a front directly.
+    An engine publishes each refresh as one immutable snapshot, so one
+    engine already gives old-or-new reads.  ``shadow`` is validated
+    against ``primary`` but never built, so it holds no index
+    (``memory_bytes() == 0``); the ``(primary, shadow)`` constructor and
+    the members below stay so existing callers of this API keep working.
     """
 
     def __init__(
         self,
-        primary: ServedIndex,
-        shadow: ServedIndex,
-        *,
-        quiesce_timeout_s: float = 5.0,
+        primary: "ServingEngine | ShardedServingEngine",
+        shadow: "ServingEngine | ShardedServingEngine",
     ) -> None:
         if primary is shadow:
             raise ValueError("primary and shadow must be distinct engines")
@@ -272,97 +120,66 @@ class DoubleBufferedEngine:
                 f"version={primary.version}) vs shadow (users={shadow.n_users}, "
                 f"events={shadow.n_events}, version={shadow.version})"
             )
-        if quiesce_timeout_s <= 0:
-            raise ValueError("quiesce_timeout_s must be > 0")
-        self.quiesce_timeout_s = quiesce_timeout_s
-        self._buffers = (_Buffer(primary), _Buffer(shadow))
-        # The publication point: queries read this one attribute without
-        # any lock (a single reference load is atomic); only refresh()
-        # writes it, under _swap_lock, *after* the shadow is complete.
-        # Deliberately not lock-annotated — the lock-free read is the
-        # design (see the class docstring and DESIGN.md §11).
-        self._active = self._buffers[0]
-        self._log: list[tuple[np.ndarray, np.ndarray | None]] = []  # replint: guarded-by(_swap_lock)
-        self._log_base = 0  # replint: guarded-by(_swap_lock)
-        self._swaps = 0  # replint: guarded-by(_swap_lock)
-        self._swap_lock = tsan_lock(threading.Lock(), "_swap_lock")
+        self._primary = primary
+        self._shadow = shadow
 
-    # ------------------------------------------------------------------
-    # introspection
     @property
     def version(self) -> int:
-        """The version stamp queries currently observe."""
-        return self._active.engine.version
-
-    @property
-    def n_users(self) -> int:
-        """Rows of the (shared) user embedding matrix."""
-        return self._active.engine.n_users
+        """The version queries currently observe."""
+        return self._primary.version
 
     @property
     def n_events(self) -> int:
-        """Event rows *visible to queries* (folds-in-flight excluded)."""
-        return self._active.engine.n_events
+        """Event rows visible to queries."""
+        return self._primary.n_events
 
     @property
-    def active(self) -> ServedIndex:
-        """The replica currently serving queries (telemetry snapshot)."""
-        return self._active.engine
+    def active(self) -> "ServingEngine | ShardedServingEngine":
+        """The engine serving queries (always ``primary``)."""
+        return self._primary
 
     @property
-    def replicas(self) -> tuple[ServedIndex, ServedIndex]:
-        """Both replicas, construction order (tests and telemetry)."""
-        return (self._buffers[0].engine, self._buffers[1].engine)
+    def replicas(
+        self,
+    ) -> "tuple[ServingEngine | ShardedServingEngine, ServingEngine | ShardedServingEngine]":
+        """``(primary, shadow)``, construction order."""
+        return (self._primary, self._shadow)
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """The active replica's metrics registry.
-
-        Build both replicas over one shared registry so this is stable
-        across flips.
-        """
-        metrics = getattr(self._active.engine, "metrics", None)
-        assert isinstance(metrics, MetricsRegistry)
-        return metrics
-
-    @property
-    def ladder(self) -> "LadderPolicy | None":
-        """The active replica's ladder policy (``None`` for sharded)."""
-        ladder = getattr(self._active.engine, "ladder", None)
-        return ladder  # type: ignore[no-any-return]
-
-    @property
-    def swap_count(self) -> int:
-        """How many reference flips have been published."""
-        with self._swap_lock:
-            return self._swaps
-
-    def memory_bytes(self) -> int:
-        """Total resident index bytes across both replicas."""
-        return sum(buf.engine.memory_bytes() for buf in self._buffers)
-
-    def index_age_s(self) -> float:
-        """Age of the index queries currently observe."""
-        return self._active.engine.index_age_s()
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    def warm(self) -> "DoubleBufferedEngine":
-        """Build both replicas' primary indices now."""
-        for buf in self._buffers:  # replint: allow-loop(two replicas)
-            buf.engine.warm()
-        return self
+        """The primary engine's metrics registry."""
+        return self._primary.metrics
 
     def warm_ladder(self) -> "DoubleBufferedEngine":
-        """Warm every degradation rung on both replicas."""
-        for buf in self._buffers:  # replint: allow-loop(two replicas)
-            buf.engine.warm_ladder()
+        """Warm every degradation rung of ``primary``."""
+        self._primary.warm_ladder()
         return self
 
+    def refresh(
+        self,
+        new_event_ids: np.ndarray,
+        new_event_vectors: np.ndarray | None = None,
+    ) -> int:
+        """``primary.refresh``: safe under traffic, published whole."""
+        return self._primary.refresh(new_event_ids, new_event_vectors)
+
+    def recommend_within(
+        self,
+        user: int,
+        n: int = 10,
+        *,
+        budget_s: float | None = None,
+        ctx: "RequestContext | None" = None,
+    ) -> "RequestOutcome":
+        """``primary.recommend_within`` (one snapshot per request)."""
+        return self._primary.recommend_within(
+            user, n, budget_s=budget_s, ctx=ctx
+        )
+
     def close(self) -> None:
-        """Release replica resources (sharded fan-out pools); idempotent."""
-        for buf in self._buffers:  # replint: allow-loop(two replicas)
-            close = getattr(buf.engine, "close", None)
+        """Release both engines' resources (sharded fan-out pools)."""
+        for engine in (self._primary, self._shadow):  # replint: allow-loop(two engines)
+            close = getattr(engine, "close", None)
             if callable(close):
                 close()
 
@@ -374,159 +191,15 @@ class DoubleBufferedEngine:
         """Context-manager exit: :meth:`close`."""
         self.close()
 
-    # ------------------------------------------------------------------
-    # the swap
-    def refresh(
-        self,
-        new_event_ids: np.ndarray,
-        new_event_vectors: np.ndarray | None = None,
-    ) -> int:
-        """Fold new events in with zero query downtime.
-
-        The zero-downtime spelling of the engines' ``refresh``: quiesce
-        the shadow's stragglers, replay any fold batches it missed while
-        retired, apply the new batch to it, then publish it with a
-        single reference flip.  Queries running on the old active
-        replica finish undisturbed; new queries pin the new one.  Raises
-        :class:`SwapWedgedError` (fold *not* applied, safe to retry) if
-        stragglers fail to drain within ``quiesce_timeout_s``.  Returns
-        the number of events added.  Serialised on the swap lock —
-        single-writer discipline, see the class docstring.
-        """
-        ids = np.atleast_1d(np.asarray(new_event_ids, dtype=np.int64)).copy()
-        vectors = (
-            None
-            if new_event_vectors is None
-            else np.asarray(new_event_vectors, dtype=np.float64).copy()
-        )
-        with self._swap_lock:
-            active = self._active
-            shadow = (
-                self._buffers[1]
-                if active is self._buffers[0]
-                else self._buffers[0]
-            )
-            if not shadow.gate.quiesce(self.quiesce_timeout_s):
-                raise SwapWedgedError(
-                    f"replica readers did not drain within "
-                    f"{self.quiesce_timeout_s:.3f}s "
-                    f"({shadow.gate.readers()} still pinned)"
-                )
-            self._catch_up_locked(shadow)
-            added = shadow.engine.refresh(ids, vectors)
-            self._log.append((ids, vectors))
-            shadow.applied = self._log_base + len(self._log)
-            # The publication point: one atomic reference store.
-            self._active = shadow
-            self._swaps += 1
-            self._trim_log_locked()
-            return added
-
-    def _catch_up_locked(self, buf: _Buffer) -> None:
-        """Replay fold batches ``buf`` missed while retired (swap lock held)."""
-        start = buf.applied - self._log_base
-        # replint: allow-loop(replaying the handful of missed fold batches)
-        for ids, vectors in self._log[start:]:
-            buf.engine.refresh(ids, vectors)
-            buf.applied += 1
-
-    def _trim_log_locked(self) -> None:
-        """Drop replay-log entries both replicas have applied (lock held)."""
-        common = min(buf.applied for buf in self._buffers)
-        drop = common - self._log_base
-        if drop > 0:
-            del self._log[:drop]
-            self._log_base = common
-
-    # ------------------------------------------------------------------
-    # queries (all delegate to the pinned active replica)
-    def _pin(self) -> _Buffer:
-        """Pin the active replica for one query (pair with gate.exit)."""
-        # Retries at most once per concurrent flip: if the reference
-        # moved between the read and the gate increment, the increment
-        # may have landed on a replica the maintenance path already
-        # considers quiesced — back out and pin the new active.
-        while True:  # replint: allow-loop(retries at most once per flip)
-            buf = self._active
-            buf.gate.enter()
-            if self._active is buf:
-                return buf
-            buf.gate.exit()
-
-    def query(self, user: int, n: int) -> "RetrievalResult":
-        """Exact top-n retrieval on the pinned active replica."""
-        buf = self._pin()
-        try:
-            return buf.engine.query(user, n)
-        finally:
-            buf.gate.exit()
-
-    def recommend(self, user: int, n: int = 10) -> "list[Recommendation]":
-        """Exact top-n recommendations on the pinned active replica."""
-        buf = self._pin()
-        try:
-            return buf.engine.recommend(user, n)
-        finally:
-            buf.gate.exit()
-
-    def recommend_within(
-        self,
-        user: int,
-        n: int = 10,
-        *,
-        budget_s: float | None = None,
-        ctx: "RequestContext | None" = None,
-    ) -> "RequestOutcome":
-        """Deadline-scoped serving on the pinned active replica.
-
-        The whole ladder walk runs on one replica: a flip published
-        mid-request does not move the request, so its answer is
-        internally consistent at a single version stamp.
-        """
-        buf = self._pin()
-        try:
-            return buf.engine.recommend_within(
-                user, n, budget_s=budget_s, ctx=ctx
-            )
-        finally:
-            buf.gate.exit()
-
-    def recommend_many(
-        self,
-        users: np.ndarray,
-        n: int = 10,
-        *,
-        budget_s: float = 0.05,
-        workers: int = 4,
-        queue_depth: int | None = None,
-    ) -> "list[RequestOutcome]":
-        """Concurrent deadline-scoped serving on one pinned replica.
-
-        The full submission batch is served from the replica active at
-        call time (folds published mid-batch become visible to the
-        *next* call) — the pin covers the batch, so the maintenance
-        path cannot mutate the replica under it.
-        """
-        buf = self._pin()
-        try:
-            return buf.engine.recommend_many(
-                users,
-                n,
-                budget_s=budget_s,
-                workers=workers,
-                queue_depth=queue_depth,
-            )
-        finally:
-            buf.gate.exit()
-
 
 @dataclass(slots=True)
 class StalenessRecord:
     """Per-version visibility record for one published fold batch.
 
     ``lag`` is the fold-in lag: seconds from an event's *arrival*
-    (its ``offer`` call) to the flip that made it queryable — the
-    staleness the streaming layer is accountable for (DESIGN.md §11).
+    (its ``offer`` call) to the publication that made it queryable —
+    the staleness the streaming layer is accountable for (DESIGN.md
+    §11).
     """
 
     version: int
@@ -537,19 +210,21 @@ class StalenessRecord:
 
 
 class FoldInPump:
-    """Background fold-in: batch arrivals, fold into the shadow, flip.
+    """Background fold-in: batch arrivals, learn vectors, refresh.
 
-    The single maintenance writer of a :class:`DoubleBufferedEngine`.
+    The single maintenance writer of a :class:`Refreshable` engine —
+    ``fold_into_engine``-style id assignment reads ``n_events`` before
+    calling ``refresh``, so concurrent writers could race it.
     Arrivals enter through :meth:`offer` (thread-safe, non-blocking) or
     :meth:`replay`; the pump thread gathers them into batches of at
     most ``max_batch`` (waiting up to ``max_delay_s`` for a batch to
-    fill), learns vectors through the folder, and drives the front's
-    shadow-refresh-and-flip.  Every batch is traced as a
-    ``foldin.batch`` span with ``foldin.fold`` / ``foldin.apply``
-    children, and passes the ``foldin.apply`` fault point — injected
-    errors (and :class:`SwapWedgedError`) are retried up to
-    ``max_retries`` times before the batch lands in the explicit
-    ``dropped`` counter.  **Zero silent drops**: at any instant
+    fill), learns vectors through the folder, and calls the engine's
+    ``refresh``, which publishes the batch as one snapshot.  Every batch
+    is traced as a ``foldin.batch`` span with ``foldin.fold`` /
+    ``foldin.apply`` children, and passes the ``foldin.apply`` fault
+    point — injected errors are retried up to ``max_retries`` times
+    before the batch lands in the explicit ``dropped`` counter.  **Zero
+    silent drops**: at any instant
     ``offered == visible + pending() + dropped``.
 
     Staleness telemetry accumulates per published version
@@ -562,7 +237,7 @@ class FoldInPump:
 
     def __init__(
         self,
-        front: DoubleBufferedEngine,
+        engine: Refreshable,
         folder: Folder,
         *,
         config: "FoldInConfig | None" = None,
@@ -581,7 +256,7 @@ class FoldInPump:
             raise ValueError("max_retries must be >= 1")
         if max_lag_samples < 1:
             raise ValueError("max_lag_samples must be >= 1")
-        self._front = front
+        self._engine = engine
         self._folder = folder
         self._config = config
         self.max_batch = max_batch
@@ -596,7 +271,6 @@ class FoldInPump:
         self._visible = 0  # replint: guarded-by(_lock)
         self._dropped = 0  # replint: guarded-by(_lock)
         self._errors = 0  # replint: guarded-by(_lock)
-        self._wedged = 0  # replint: guarded-by(_lock)
         self._batches = 0  # replint: guarded-by(_lock)
         self._records: deque[StalenessRecord] = deque(maxlen=max_lag_samples)  # replint: guarded-by(_lock)
         self._lags: list[float] = []  # replint: guarded-by(_lock)
@@ -695,7 +369,6 @@ class FoldInPump:
                 "pending": len(self._queue) + self._inflight,
                 "dropped": self._dropped,
                 "errors": self._errors,
-                "wedged": self._wedged,
                 "batches": self._batches,
             }
 
@@ -719,17 +392,18 @@ class FoldInPump:
     def summary(self) -> dict[str, object]:
         """Everything an exporter or harness needs, as one dict.
 
-        Counters, overall lag percentiles, swap count, and the last
-        ``64`` per-version staleness records (newest last) — the
-        duck-typed payload :func:`repro.obs.exporter.foldin_families`
-        renders as Prometheus families.
+        Counters, overall lag percentiles, the number of published
+        swaps (one per folded batch), and the last ``64`` per-version
+        staleness records (newest last) — the duck-typed payload
+        :func:`repro.obs.exporter.foldin_families` renders as
+        Prometheus families.
         """
         counters = self.counters()
         with self._lock:
             records = list(islice(reversed(self._records), 64))[::-1]
             last_error = self._last_error
         payload: dict[str, object] = dict(counters)
-        payload["swaps"] = self._front.swap_count
+        payload["swaps"] = counters["batches"]
         payload["lag_percentiles"] = self.lag_percentiles()
         payload["last_error"] = last_error
         payload["versions"] = [
@@ -780,7 +454,7 @@ class FoldInPump:
     def _apply_batch(
         self, batch: "list[tuple[NewEventDescription, float]]"
     ) -> None:
-        """Fold one batch through the front, with bounded retries."""
+        """Fold one batch into the engine, with bounded retries."""
         events = [event for event, _arrived in batch]
         attempt = 0
         while True:  # replint: allow-loop(bounded retry of one fold batch)
@@ -788,11 +462,8 @@ class FoldInPump:
                 self._fold_once(events, attempt)
                 break
             except Exception as exc:  # noqa: BLE001 - ledgered, then retried
-                wedged = isinstance(exc, SwapWedgedError)
                 with self._lock:
                     self._errors += 1
-                    if wedged:
-                        self._wedged += 1
                     self._last_error = f"{type(exc).__name__}: {exc}"
                 attempt += 1
                 if attempt >= self.max_retries:
@@ -802,7 +473,7 @@ class FoldInPump:
                     return
                 time.sleep(self.retry_backoff_s)
         now = time.monotonic()
-        version = self._front.version
+        version = self._engine.version
         lags = [now - arrived for _event, arrived in batch]
         with self._lock:
             self._visible += len(batch)
@@ -824,7 +495,7 @@ class FoldInPump:
     def _fold_once(
         self, events: "list[NewEventDescription]", attempt: int
     ) -> None:
-        """One traced fold attempt: learn vectors, refresh-and-flip."""
+        """One traced fold attempt: learn vectors, refresh the engine."""
         with self._tracer.start(
             "foldin.batch", n=len(events), attempt=attempt
         ) as span:
@@ -832,9 +503,9 @@ class FoldInPump:
                 vectors = self._folder.fold_in_many(events, self._config)
             fault_point("foldin.apply", span=span)
             with span.child("foldin.apply"):
-                base = self._front.n_events
+                base = self._engine.n_events
                 ids = np.arange(
                     base, base + vectors.shape[0], dtype=np.int64
                 )
-                added = self._front.refresh(ids, new_event_vectors=vectors)
-            span.tag(version=self._front.version, added=added)
+                added = self._engine.refresh(ids, new_event_vectors=vectors)
+            span.tag(version=self._engine.version, added=added)

@@ -154,7 +154,11 @@ class TestExtendEqualsBuild:
             events = np.vstack([events, fresh_block])
             grown = build_space(events)
             n_old = ivf.space.n_pairs
-            ivf.extend(grown, n_old)
+            before = ivf
+            ivf = ivf.extend(grown, n_old)
+            # The extended index is new; the old one still serves n_old.
+            assert before.space.n_pairs == n_old
+            assert before._order.size == n_old
         rebuilt = IVFIndex(
             build_space(events), n_clusters=n_clusters, train_cap=cap, seed=2
         )
@@ -227,11 +231,11 @@ class TestEngineIvfRung:
 
     def test_rung_absent_without_opt_in(self):
         engine = self._engine().warm_ladder()
-        assert "ivf" not in engine._available_rungs()
+        assert "ivf" not in engine.snapshot.rungs
 
     def test_rung_present_after_warm_ladder(self):
         engine = self._engine(ivf_clusters=6, ivf_nprobe=2).warm_ladder()
-        assert engine._available_rungs() == (
+        assert engine.snapshot.rungs == (
             "full", "pruned", "ivf", "truncated", "stale_cache"
         )
 
@@ -249,20 +253,26 @@ class TestEngineIvfRung:
 
     def test_refresh_keeps_and_extends_ivf_sibling(self):
         engine = self._engine(ivf_clusters=6).warm_ladder()
-        sibling = engine._ivf_index
+        sibling = engine.snapshot.ivf
         assert sibling is not None
+        n_before = sibling.space.n_pairs
         engine.refresh(np.arange(20, 24, dtype=np.int64))
-        assert engine._ivf_index is sibling
-        assert sibling.space.n_pairs == engine.n_candidate_pairs
-        assert "ivf" in engine._available_rungs()
+        grown = engine.snapshot.ivf
+        assert grown is not None
+        # Extended on the frozen quantizer, not re-clustered; the old
+        # sibling is left whole for readers of the old snapshot.
+        assert grown.centroids is sibling.centroids
+        assert grown.space.n_pairs == engine.n_candidate_pairs
+        assert sibling.space.n_pairs == n_before < grown.space.n_pairs
+        assert "ivf" in engine.snapshot.rungs
 
     def test_rebuild_drops_ivf_sibling_until_rewarm(self):
         engine = self._engine(ivf_clusters=6).warm_ladder()
         engine.rebuild()
-        assert engine._ivf_index is None
-        assert "ivf" not in engine._available_rungs()
+        assert engine.snapshot.ivf is None
+        assert "ivf" not in engine.snapshot.rungs
         engine.warm_ladder()
-        assert engine._ivf_index is not None
+        assert engine.snapshot.ivf is not None
 
     def test_ivf_validation(self):
         with pytest.raises(ValueError, match="ivf_clusters"):
@@ -371,7 +381,7 @@ class TestAppendBuffers:
         assert buf is not None
         engine.refresh(np.arange(13, 15, dtype=np.int64))
         assert engine._buf_points is buf
-        sibling = engine._ivf_index
+        sibling = engine.snapshot.ivf
         assert sibling is not None and sibling.space.points.base is buf
         # Full probe over the sibling answers with the same pairs as the
         # factored primary (ranking by the 2K+1 scores).

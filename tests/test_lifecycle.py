@@ -24,6 +24,7 @@ from repro.serving import (
     SHED_QUEUE_FULL,
     MetricsRegistry,
     ServingEngine,
+    recommend_many,
 )
 from repro.serving.faults import FaultPlan, FaultSpec, install, uninstall
 
@@ -327,8 +328,8 @@ class TestRecommendMany:
     def test_every_request_gets_exactly_one_outcome(self, model):
         engine = make_engine(model)
         users = np.arange(30, dtype=np.int64) % 10
-        outcomes = engine.recommend_many(
-            users, n=5, budget_s=5.0, workers=4
+        outcomes = recommend_many(
+            engine, users, n=5, budget_s=5.0, workers=4
         )
         assert len(outcomes) == 30
         assert all(isinstance(o, RequestOutcome) for o in outcomes)
@@ -338,7 +339,7 @@ class TestRecommendMany:
     def test_concurrent_answers_match_serial(self, model):
         engine = make_engine(model)
         users = np.arange(10, dtype=np.int64)
-        outcomes = engine.recommend_many(users, n=5, budget_s=5.0, workers=4)
+        outcomes = recommend_many(engine, users, n=5, budget_s=5.0, workers=4)
         serial = make_engine(model)
         for out, u in zip(outcomes, users, strict=True):
             expected = serial.recommend(int(u), n=5)
@@ -361,8 +362,8 @@ class TestRecommendMany:
             )
         )
         users = np.zeros(20, dtype=np.int64)
-        outcomes = engine.recommend_many(
-            users, n=5, budget_s=5.0, workers=1, queue_depth=2
+        outcomes = recommend_many(
+            engine, users, n=5, budget_s=5.0, workers=1, queue_depth=2
         )
         assert len(outcomes) == 20
         shed = [o for o in outcomes if not o.answered]
@@ -380,8 +381,8 @@ class TestRecommendMany:
         engine.recommend_within(0, n=5, budget_s=5.0)  # seed stale + EWMA
         install(FaultPlan([FaultSpec(site="backend.query", delay_s=0.03)]))
         users = np.arange(12, dtype=np.int64)
-        outcomes = engine.recommend_many(
-            users, n=5, budget_s=0.05, workers=1
+        outcomes = recommend_many(
+            engine, users, n=5, budget_s=0.05, workers=1
         )
         assert all(o.answered or o.shed_reason for o in outcomes)
         waited = [o for o in outcomes if o.answered and o.stats.queue_wait_s > 0]
@@ -390,7 +391,7 @@ class TestRecommendMany:
     def test_workers_validated(self, model):
         engine = make_engine(model)
         with pytest.raises(ValueError, match="workers"):
-            engine.recommend_many(np.arange(3), budget_s=1.0, workers=0)
+            recommend_many(engine, np.arange(3), budget_s=1.0, workers=0)
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,7 @@ from repro.serving import (
     RequestOutcome,
     ServingEngine,
     ShardedServingEngine,
+    recommend_many,
 )
 from repro.serving.faults import FaultPlan, FaultSpec, install, uninstall
 from repro.serving.lifecycle import RequestContext
@@ -488,7 +489,7 @@ class TestCollectors:
         engine = make_engine(model, ivf_clusters=6, ivf_nprobe=2)
         engine.warm_ladder()
         scrape = parse_exposition(
-            render_exposition(ivf_families(engine._ivf_index))
+            render_exposition(ivf_families(engine.snapshot.ivf))
         )
         assert scrape.value("repro_ivf_clusters") == 6.0
         assert scrape.value("repro_ivf_nprobe_default") == 2.0
@@ -637,8 +638,8 @@ class TestCrossThreadPropagation:
             )
         )
         users = np.arange(24, dtype=np.int64)
-        outcomes = engine.recommend_many(
-            users, n=3, budget_s=0.02, workers=4, queue_depth=4
+        outcomes = recommend_many(
+            engine, users, n=3, budget_s=0.02, workers=4, queue_depth=4
         )
         assert len(outcomes) == len(users)
         # The lazy index build inside the first request contributes one
@@ -678,8 +679,8 @@ class TestCrossThreadPropagation:
             tracer=tracer,
         ) as fleet:
             users = np.arange(16, dtype=np.int64)
-            outcomes = fleet.recommend_many(
-                users, n=3, budget_s=0.5, workers=4
+            outcomes = recommend_many(
+                fleet, users, n=3, budget_s=0.5, workers=4
             )
         assert all(o.answered for o in outcomes)
         traces = [
@@ -709,8 +710,8 @@ class TestCrossThreadPropagation:
             FaultPlan([FaultSpec(site="backend.query", delay_s=0.05)], seed=3)
         )
         users = np.arange(12, dtype=np.int64)
-        outcomes = engine.recommend_many(
-            users, n=3, budget_s=0.005, workers=2, queue_depth=2
+        outcomes = recommend_many(
+            engine, users, n=3, budget_s=0.005, workers=2, queue_depth=2
         )
         interesting = [
             o

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving import ServingEngine, ShardedServingEngine
+from repro.serving import ServingEngine, ShardedServingEngine, recommend_many
 from repro.serving.sharded import _ShardList, merge_sharded_topn
 
 
@@ -193,13 +193,27 @@ class TestShardedLifecycle:
             fleet.warm_ladder()
             out = fleet.recommend_within(3, 5, budget_s=5.0)
             assert out.answered and out.rung == "full"
-            outs = fleet.recommend_many(
-                list(range(12)), 5, budget_s=5.0, workers=2, queue_depth=4
+            outs = recommend_many(
+                fleet, list(range(12)), 5, budget_s=5.0, workers=2, queue_depth=4
             )
             assert len(outs) == 12  # zero silent drops
             shed = [o for o in outs if not o.answered]
             for o in shed:
                 assert o.shed_reason is not None
+
+    def test_recommend_many_rejects_bad_user_before_serving_any(self):
+        users, events = _tie_heavy_vectors(5, n_users=10, n_events=6, dim=3)
+        with ShardedServingEngine(
+            users, events, np.arange(6, dtype=np.int64), n_shards=2
+        ) as fleet:
+            fleet.warm()
+            with pytest.raises(ValueError, match="out of range"):
+                recommend_many(
+                    fleet, [0, 1, 2, 10], 3, budget_s=5.0, workers=1
+                )
+            # Validation runs before admission: nothing was served.
+            assert len(fleet.metrics) == 0
+            assert all(len(m) == 0 for m in fleet.shard_metrics())
 
     def test_closed_engine_refuses_queries(self):
         users, events = _tie_heavy_vectors(6, n_users=8, n_events=4, dim=3)

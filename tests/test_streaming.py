@@ -1,14 +1,14 @@
-"""Tests for streaming ingestion: double-buffered swap + fold-in pump.
+"""Tests for streaming ingestion: snapshot publication + fold-in pump.
 
-The load-bearing test is :meth:`TestDoubleBufferedEngine.
-test_fold_into_engine_old_or_new_only`: concurrent queries against a
-front being folded into must only ever observe *complete* index
+The load-bearing test is :meth:`TestSnapshotPublication.
+test_fold_into_engine_old_or_new_only`: concurrent queries against an
+engine being folded into must only ever observe *complete* index
 versions — each recorded ``(version, n_candidates)`` pair matches a
-published snapshot exactly, never a half-swapped combination.
+published version exactly, and every exact answer is the float64
+oracle's top-n of the version it reports.
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from repro.ebsn.graphs import EntityType
 from repro.ebsn.regions import RegionAssignment
 from repro.ebsn.text import build_vocabulary
 from repro.ebsn.timeslots import N_TIME_SLOTS
+from repro.online.ta import ThresholdAlgorithmIndex
 from repro.serving import (
     DoubleBufferedEngine,
     FoldInPump,
@@ -28,24 +29,39 @@ from repro.serving import (
     MetricsRegistry,
     ServingEngine,
     ShardedServingEngine,
-    SwapWedgedError,
 )
 
 DIM = 8
 SYN = SyntheticConfig(n_topics=3, words_per_topic=10, n_common_words=8)
 
 
-def make_front(
-    *, users=30, events=40, seed=7, quiesce_timeout_s=5.0
-) -> DoubleBufferedEngine:
-    """Twin warmed engines over one synthetic model, shared telemetry."""
+def make_vectors(users, events, seed):
     rng = np.random.default_rng(seed)
     user_vectors = np.abs(rng.normal(size=(users, DIM))).astype(np.float32)
     event_vectors = np.abs(rng.normal(size=(events, DIM))).astype(np.float32)
+    return user_vectors, event_vectors
+
+
+def make_engine(*, users=30, events=40, seed=7, **kwargs) -> ServingEngine:
+    """A warmed TA engine over one synthetic model, no result cache."""
+    user_vectors, event_vectors = make_vectors(users, events, seed)
+    kwargs.setdefault("backend", "ta")
+    return ServingEngine(
+        user_vectors,
+        event_vectors,
+        np.arange(events, dtype=np.int64),
+        cache_size=0,
+        **kwargs,
+    ).warm()
+
+
+def make_front(*, users=30, events=40, seed=7) -> DoubleBufferedEngine:
+    """Twin engines over one synthetic model, shared telemetry."""
     metrics = MetricsRegistry()
     ladder = LadderPolicy()
 
     def replica() -> ServingEngine:
+        user_vectors, event_vectors = make_vectors(users, events, seed)
         return ServingEngine(
             user_vectors,
             event_vectors,
@@ -56,11 +72,7 @@ def make_front(
             ladder=ladder,
         )
 
-    front = DoubleBufferedEngine(
-        replica(), replica(), quiesce_timeout_s=quiesce_timeout_s
-    )
-    front.warm()
-    return front
+    return DoubleBufferedEngine(replica(), replica()).warm_ladder()
 
 
 def make_folder(seed=3) -> EventFoldIn:
@@ -157,6 +169,166 @@ class TestArrivalTrace:
         assert np.all(np.linalg.norm(vectors, axis=1) > 0)
 
 
+def _event_vectors(engine):
+    if isinstance(engine, ShardedServingEngine):
+        return engine.shards[0].event_vectors
+    return engine.event_vectors
+
+
+def _oracle_top_n(user_vectors, event_vectors, candidates, user, n):
+    """Canonical float64 Eqn-8 top-n: ``u·x + u'·x + u·u'``, u' != u."""
+    users = np.asarray(user_vectors, dtype=np.float64)
+    events = np.asarray(event_vectors, dtype=np.float64)[candidates]
+    u = users[user]
+    scores = (events @ u)[:, None] + events @ users.T + (users @ u)[None, :]
+    scores[:, user] = -np.inf
+    flat = scores.ravel()
+    order = np.lexsort((np.arange(flat.size), -flat))[:n]
+    ev, pa = np.divmod(order, users.shape[0])
+    return list(zip(candidates[ev].tolist(), pa.tolist())), flat[order]
+
+
+def _single(backend, ivf_clusters=None):
+    engine = make_engine(
+        users=24, events=32, backend=backend, ivf_clusters=ivf_clusters
+    )
+    return engine.warm_ladder() if ivf_clusters else engine
+
+
+def _sharded():
+    user_vectors, event_vectors = make_vectors(24, 32, 7)
+    return ShardedServingEngine(
+        user_vectors,
+        event_vectors,
+        np.arange(32, dtype=np.int64),
+        n_shards=2,
+        cache_size=0,
+        merged_cache_size=0,
+    ).warm()
+
+
+class TestSnapshotPublication:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _single("ta"),
+            lambda: _single("bruteforce", ivf_clusters=4),
+            _sharded,
+        ],
+        ids=["ta", "bruteforce-ivf", "sharded-2"],
+    )
+    def test_fold_into_engine_old_or_new_only(self, make):
+        """Concurrent queries during folds see complete versions only."""
+        engine = make()
+        folder = make_folder()
+        events = [a.event for a in make_arrivals(30)]
+
+        def publish(record):
+            record[engine.version] = (
+                engine.n_candidate_pairs,
+                engine.candidate_events.copy(),
+                np.array(_event_vectors(engine), dtype=np.float64),
+            )
+
+        published: dict = {}
+        publish(published)
+        stop = threading.Event()
+        failures: list[str] = []
+        answers: list = []
+
+        def reader(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                while not stop.is_set():
+                    user = int(rng.integers(0, 24))
+                    out = engine.recommend_within(user, 5, budget_s=5.0)
+                    answers.append((user, out))
+            except Exception as exc:  # pragma: no cover - surfaced below
+                failures.append(f"reader {seed}: {exc!r}")
+
+        threads = [
+            threading.Thread(target=reader, args=(s,), daemon=True)
+            for s in range(4)
+        ]
+        for t in threads:
+            t.start()
+        config = FoldInConfig(n_steps=4, seed=2)
+        try:
+            for event in events:
+                folder.fold_into_engine(engine, [event], config)
+                publish(published)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+            close = getattr(engine, "close", None)
+            if close is not None:
+                close()
+        assert not failures
+        assert len(published) == len(events) + 1
+        allowed = {(v, rec[0]) for v, rec in published.items()}
+        observed = {(r.version, r.n_candidates) for r in engine.metrics.records}
+        torn = observed - allowed
+        assert not torn, f"half-refreshed index observed: {torn}"
+        # The queries actually ran, and spanned the folds.
+        assert len({v for v, _ in observed}) > 1
+        user_vectors = engine.shards[0].user_vectors if isinstance(
+            engine, ShardedServingEngine
+        ) else engine.user_vectors
+        n_exact = 0
+        for user, out in answers:
+            assert out.answered and out.stats is not None
+            if not out.stats.exact:
+                continue
+            n_exact += 1
+            _n_pairs, candidates, event_vectors = published[out.stats.version]
+            pairs, scores = _oracle_top_n(
+                user_vectors, event_vectors, candidates, user, 5
+            )
+            assert [(r.event, r.partner) for r in out.recommendations] == pairs
+            np.testing.assert_allclose(
+                [r.score for r in out.recommendations], scores, rtol=1e-9
+            )
+        assert n_exact > 0
+
+    def test_reader_holding_old_snapshot_keeps_old_answer(self, monkeypatch):
+        engine = make_engine(users=20, events=24)
+        user = 3
+        before = engine.query(user, 5)
+        v0, pairs0 = engine.version, engine.n_candidate_pairs
+        entered, release = threading.Event(), threading.Event()
+        real = ThresholdAlgorithmIndex.query_extended
+
+        def parked(self, *args, **kwargs):
+            entered.set()
+            assert release.wait(10)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThresholdAlgorithmIndex, "query_extended", parked)
+        held: list = []
+        reader = threading.Thread(
+            target=lambda: held.append(engine.query(user, 5)), daemon=True
+        )
+        reader.start()
+        assert entered.wait(10)
+        # The reader has loaded its snapshot and is inside the index scan.
+        # Fold in events that dominate every score, so the new version's
+        # answer differs from the old one.
+        big = np.full((3, DIM), 10.0)
+        assert engine.refresh(np.arange(24, 27, dtype=np.int64), big) == 3
+        release.set()
+        reader.join(timeout=10)
+        monkeypatch.undo()
+        (old,) = held
+        np.testing.assert_array_equal(old.pair_indices, before.pair_indices)
+        assert old.scores.tobytes() == before.scores.tobytes()
+        held_stats = engine.metrics.records[-1]
+        assert (held_stats.version, held_stats.n_candidates) == (v0, pairs0)
+        after = engine.recommend(user, 5)
+        assert {r.event for r in after} <= {24, 25, 26}
+        assert engine.version == v0 + 1
+
+
 class TestDoubleBufferedEngine:
     def test_replica_validation(self):
         front = make_front()
@@ -171,8 +343,6 @@ class TestDoubleBufferedEngine:
         )
         with pytest.raises(ValueError):
             DoubleBufferedEngine(a, smaller)
-        with pytest.raises(ValueError):
-            DoubleBufferedEngine(a, b, quiesce_timeout_s=0.0)
 
     def test_refresh_flips_and_serves(self):
         front = make_front(events=20)
@@ -185,109 +355,14 @@ class TestDoubleBufferedEngine:
         assert added == 3
         assert front.version == v0 + 1
         assert front.n_events == n0 + 3
-        assert front.swap_count == 1
         # The folded events are queryable through the front.
-        assert len(front.recommend(0, n=5)) == 5
-        result = front.query(1, n=4)
-        assert result.pair_indices.size == 4
-
-    def test_catch_up_keeps_replicas_convergent(self):
-        front = make_front(events=16)
-        rng = np.random.default_rng(2)
-        base = front.n_events
-        for k in range(4):
-            ids = np.arange(base + k, base + k + 1, dtype=np.int64)
-            front.refresh(ids, fold_vectors(rng, 1))
-        # The retired replica lags by exactly the last (unreplayed)
-        # batch; the replay log holds only what it still needs.
-        counts = sorted(r.n_events for r in front.replicas)
-        assert counts == [base + 3, base + 4]
-        assert len(front._log) <= 1
-        # One more refresh catches the laggard up past the previous tip.
-        front.refresh(
-            np.arange(base + 4, base + 5, dtype=np.int64),
-            fold_vectors(rng, 1),
-        )
-        counts = sorted(r.n_events for r in front.replicas)
-        assert counts == [base + 4, base + 5]
-
-    def test_swap_wedged_reader_blocks_then_recovers(self):
-        front = make_front(events=12, quiesce_timeout_s=0.05)
-        rng = np.random.default_rng(3)
-        base = front.n_events
-        pinned = front._pin()
-        try:
-            # First refresh flips away from the pinned replica fine...
-            front.refresh(
-                np.arange(base, base + 1, dtype=np.int64),
-                fold_vectors(rng, 1),
-            )
-            n_after_first = front.n_events
-            # ...but the next one must quiesce it, and the straggler
-            # never drains: wedged, and the fold is NOT applied.
-            with pytest.raises(SwapWedgedError):
-                front.refresh(
-                    np.arange(
-                        n_after_first, n_after_first + 1, dtype=np.int64
-                    ),
-                    fold_vectors(rng, 1),
-                )
-            assert front.n_events == n_after_first
-        finally:
-            pinned.gate.exit()
-        # Reader released: the identical retry succeeds.
-        front.refresh(
-            np.arange(n_after_first, n_after_first + 1, dtype=np.int64),
-            fold_vectors(rng, 1),
-        )
-        assert front.n_events == n_after_first + 1
-
-    def test_fold_into_engine_old_or_new_only(self):
-        """Concurrent queries during folds see complete versions only."""
-        front = make_front(users=24, events=32)
-        folder = make_folder()
-        events = [a.event for a in make_arrivals(9)]
-        snapshots = {front.version: front.active.n_candidate_pairs}
-        stop = threading.Event()
-        failures: list[str] = []
-
-        def reader(seed: int) -> None:
-            rng = np.random.default_rng(seed)
-            try:
-                while not stop.is_set():
-                    front.query(int(rng.integers(0, 24)), 5)
-            except Exception as exc:  # pragma: no cover - surfaced below
-                failures.append(f"reader {seed}: {exc!r}")
-
-        threads = [
-            threading.Thread(target=reader, args=(s,), daemon=True)
-            for s in range(4)
-        ]
-        for t in threads:
-            t.start()
-        config = FoldInConfig(n_steps=8, seed=2)
-        try:
-            for start in range(0, len(events), 3):
-                folder.fold_into_engine(
-                    front, events[start:start + 3], config
-                )
-                snapshots[front.version] = front.active.n_candidate_pairs
-                time.sleep(0.01)
-        finally:
-            stop.set()
-            for t in threads:
-                t.join(timeout=10)
-        assert not failures
-        assert front.swap_count == 3
-        allowed = set(snapshots.items())
-        observed = {
-            (r.version, r.n_candidates) for r in front.metrics.records
-        }
-        torn = observed - allowed
-        assert not torn, f"half-swapped index observed: {torn}"
-        # The queries actually ran, and spanned the folds.
-        assert len(front.metrics) > 0
-        assert {v for v, _ in observed} <= set(snapshots)
+        out = front.recommend_within(0, n=5, budget_s=5.0)
+        assert out.answered and len(out.recommendations) == 5
+        assert front.active.query(1, n=4).pair_indices.size == 4
+        # The shadow is never built: one index is resident.
+        primary, shadow = front.replicas
+        assert front.active is primary
+        assert shadow.memory_bytes() == 0 < primary.memory_bytes()
 
     def test_sharded_replicas_supported(self):
         rng = np.random.default_rng(11)
@@ -304,14 +379,13 @@ class TestDoubleBufferedEngine:
             )
 
         with DoubleBufferedEngine(replica(), replica()) as front:
-            front.warm()
-            assert front.ladder is None
+            front.warm_ladder()
             v0, n0 = front.version, front.n_events
             front.refresh(
                 np.arange(n0, n0 + 2, dtype=np.int64), fold_vectors(rng, 2)
             )
             assert (front.version, front.n_events) == (v0 + 1, n0 + 2)
-            assert front.query(3, n=4).pair_indices.size == 4
+            assert front.active.query(3, n=4).pair_indices.size == 4
 
 
 class ExplodingFolder:
@@ -337,22 +411,22 @@ class FlakyFolder:
 
 class TestFoldInPump:
     def test_knob_validation(self):
-        front = make_front(events=8)
+        engine = make_engine(events=8)
         folder = make_folder()
         with pytest.raises(ValueError):
-            FoldInPump(front, folder, max_batch=0)
+            FoldInPump(engine, folder, max_batch=0)
         with pytest.raises(ValueError):
-            FoldInPump(front, folder, max_delay_s=-1.0)
+            FoldInPump(engine, folder, max_delay_s=-1.0)
         with pytest.raises(ValueError):
-            FoldInPump(front, folder, max_retries=0)
+            FoldInPump(engine, folder, max_retries=0)
         with pytest.raises(ValueError):
-            FoldInPump(front, folder).replay([], speed=0.0)
+            FoldInPump(engine, folder).replay([], speed=0.0)
 
     def test_ledger_balances_and_staleness_recorded(self):
-        front = make_front(events=16)
-        base = front.n_events
+        engine = make_engine(events=16)
+        base = engine.n_events
         pump = FoldInPump(
-            front,
+            engine,
             make_folder(),
             config=FoldInConfig(n_steps=5, seed=2),
             max_batch=4,
@@ -367,7 +441,7 @@ class TestFoldInPump:
         assert counters["visible"] == 10
         assert counters["dropped"] == 0
         assert counters["pending"] == 0
-        assert front.n_events == base + 10
+        assert engine.n_events == base + 10
         records = pump.staleness_records()
         assert sum(r.n_events for r in records) == 10
         versions = [r.version for r in records]
@@ -376,13 +450,14 @@ class TestFoldInPump:
         lag = pump.lag_percentiles()
         assert set(lag) == {"p50", "p95", "p99"}
         summary = pump.summary()
-        assert summary["swaps"] == front.swap_count == counters["batches"]
-        assert summary["versions"][-1]["version"] == front.version
+        assert summary["swaps"] == counters["batches"]
+        assert engine.version == 1 + counters["batches"]
+        assert summary["versions"][-1]["version"] == engine.version
 
     def test_staleness_records_stay_bounded(self):
-        front = make_front(events=8)
+        engine = make_engine(events=8)
         pump = FoldInPump(
-            front,
+            engine,
             make_folder(),
             config=FoldInConfig(n_steps=2, seed=2),
             max_batch=1,
@@ -404,7 +479,7 @@ class TestFoldInPump:
         assert len(records) == 3
         # The newest records survive, still in publication order.
         assert [r.version for r in records] == list(
-            range(front.version - 2, front.version + 1)
+            range(engine.version - 2, engine.version + 1)
         )
         summary = pump.summary()
         assert [v["version"] for v in summary["versions"]] == [
@@ -413,10 +488,10 @@ class TestFoldInPump:
         assert summary["visible"] == 7
 
     def test_persistent_failure_is_an_explicit_drop(self):
-        front = make_front(events=8)
-        base = front.n_events
+        engine = make_engine(events=8)
+        base = engine.n_events
         pump = FoldInPump(
-            front,
+            engine,
             ExplodingFolder(),
             max_batch=4,
             max_delay_s=0.0,
@@ -433,13 +508,13 @@ class TestFoldInPump:
         assert counters["visible"] == 0
         assert counters["pending"] == 0
         assert counters["errors"] == 3
-        assert front.n_events == base
+        assert engine.n_events == base
         assert "boom" in pump.summary()["last_error"]
 
     def test_transient_failure_retries_to_visible(self):
-        front = make_front(events=8)
+        engine = make_engine(events=8)
         pump = FoldInPump(
-            front,
+            engine,
             FlakyFolder(make_folder(), failures=2),
             config=FoldInConfig(n_steps=5, seed=2),
             max_batch=8,

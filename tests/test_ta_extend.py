@@ -67,7 +67,12 @@ class TestExtendEqualsBuild:
         index = ThresholdAlgorithmIndex(_prefix(points, n0))
         n = n0
         for m in blocks:
-            index.extend(_prefix(points, n + m), n)
+            before = index
+            before_lists = before.sorted_lists.copy()
+            index = index.extend(_prefix(points, n + m), n)
+            # The old index is left whole for readers still holding it.
+            assert before.n_candidates == n
+            np.testing.assert_array_equal(before.sorted_lists, before_lists)
             n += m
             fresh = ThresholdAlgorithmIndex(_prefix(points, n))
             np.testing.assert_array_equal(index.sorted_lists, fresh.sorted_lists)
@@ -90,7 +95,7 @@ class TestExtendEqualsBuild:
         index = ThresholdAlgorithmIndex(_prefix(points, 10))
         n = 10
         for m in blocks:
-            index.extend(_prefix(points, n + m), n)
+            index = index.extend(_prefix(points, n + m), n)
             n += m
         q = query_vector(rng.integers(0, 3, size=k) * 0.5)
         exclude = int(rng.integers(0, 7))
@@ -107,7 +112,7 @@ class TestExtendEdges:
     def test_layout_is_one_contiguous_row_per_dimension(self):
         points = _points(np.random.default_rng(0), 40, 3, levels=0)
         index = ThresholdAlgorithmIndex(_prefix(points, 30))
-        index.extend(_prefix(points, 40), 30)
+        index = index.extend(_prefix(points, 40), 30)
         assert index.sorted_lists.shape == (7, 40)
         assert index.sorted_lists.flags.c_contiguous
         assert index.sorted_lists.dtype == np.int64
@@ -117,7 +122,7 @@ class TestExtendEdges:
         index = ThresholdAlgorithmIndex(_prefix(points, 12))
         before = index.sorted_lists.copy()
         grown = _prefix(points, 12)
-        index.extend(grown, 12)
+        index = index.extend(grown, 12)
         assert index.space is grown
         np.testing.assert_array_equal(index.sorted_lists, before)
 
@@ -125,14 +130,14 @@ class TestExtendEdges:
         points = _points(np.random.default_rng(2), 9, 2, levels=2)
         index = ThresholdAlgorithmIndex(_prefix(points, 0))
         for n in range(9):
-            index.extend(_prefix(points, n + 1), n)
+            index = index.extend(_prefix(points, n + 1), n)
         np.testing.assert_array_equal(index.sorted_lists, _stable_lists(points))
 
     def test_more_dimensions_than_one_block(self):
         # 2K+1 = 21 spans three blocks of dimensions, the last partial.
         points = _points(np.random.default_rng(3), 50, 10, levels=2)
         index = ThresholdAlgorithmIndex(_prefix(points, 20))
-        index.extend(_prefix(points, 50), 20)
+        index = index.extend(_prefix(points, 50), 20)
         np.testing.assert_array_equal(index.sorted_lists, _stable_lists(points))
 
     def test_rejects_mismatched_prefix_and_shrinking(self):
